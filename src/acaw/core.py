@@ -165,17 +165,9 @@ def initial_configuration(automaton: Automaton, word: Iterable[str]) -> tuple:
 
 def global_step(automaton: Automaton, config: tuple) -> tuple:
     """Apply the local rule once to every active cell."""
-    rule = automaton.rule
-    n = len(config)
-    out = []
-    for i, centre in enumerate(config):
-        left = config[i - 1] if i > 0 else INACTIVE
-        right = config[i + 1] if i + 1 < n else INACTIVE
-        new = rule(left, centre, right)
-        if isinstance(new, _Inactive):
-            raise AlphabetError(f"{automaton.name}: rule drove an active cell inactive")
-        out.append(new)
-    return tuple(out)
+    runner = _runner_for(automaton)
+    objs = runner.objs
+    return tuple(objs[s] for s in runner.step([runner.intern(s) for s in config]))
 
 
 def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
@@ -186,12 +178,8 @@ def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
     Disjointness of the accept and reject sets makes the order immaterial
     for non-empty windows.
     """
-    cells = tuple(config)
-    if all(automaton.accepting(s) for s in cells):
-        return ACCEPT
-    if automaton.rejecting is not None and all(automaton.rejecting(s) for s in cells):
-        return REJECT
-    return None
+    runner = _runner_for(automaton)
+    return runner.finality([runner.intern(s) for s in config], automaton.is_decider)
 
 
 def configurations(
@@ -203,27 +191,10 @@ def configurations(
     ``max_steps`` steps or as soon as the evolution provably cycles, since a
     deterministic repeat can never reach a configuration not already seen.
     """
-    config = initial_configuration(automaton, word)
-    if not config:
-        raise EmptyInputError(f"{automaton.name}: no run on the empty word")
-    if max_steps is None:
-        max_steps = default_max_steps(len(config))
-        if automaton.time_bound is not None:
-            max_steps = max(max_steps, automaton.time_bound + 1)
-    yield config
-    recent: deque = deque(maxlen=_CYCLE_WINDOW)
-    seen = set()
-    recent.append(config)
-    seen.add(config)
-    for _ in range(max_steps):
-        config = global_step(automaton, config)
-        if config in seen:
-            return
-        yield config
-        if len(recent) == _CYCLE_WINDOW:
-            seen.discard(recent.popleft())
-        recent.append(config)
-        seen.add(config)
+    runner, config, max_steps = _start(automaton, word, max_steps)
+    objs = runner.objs
+    for config in _evolve(runner, config, max_steps):
+        yield tuple(objs[s] for s in config)
 
 
 def validate(automaton: Automaton) -> None:
@@ -243,26 +214,37 @@ def validate(automaton: Automaton) -> None:
     for a in automaton.input_alphabet:
         if a not in state_set:
             raise AlphabetError(f"{automaton.name}: input symbol {a!r} not a state")
-    for s in states:
-        if automaton.accepting(s) and automaton.rejecting and automaton.rejecting(s):
+    runner = _runner_for(automaton)
+    ids = [runner.intern(s) for s in states]
+    for s, sid in zip(states, ids):
+        if runner.acc[sid] and runner.rej[sid]:
             raise AlphabetError(f"{automaton.name}: state {s!r} both accepts and rejects")
-    flanks = states + (INACTIVE,)
+    objs = runner.objs
+    flanks = ids + [0]
     for z1 in flanks:
-        for z2 in states:
+        for z2 in ids:
             for z3 in flanks:
-                out = automaton.rule(z1, z2, z3)
+                out = objs[runner._miss((z1, z2, z3))]
                 if out not in state_set:
                     raise AlphabetError(
                         f"{automaton.name}: rule output {out!r} on "
-                        f"({z1!r}, {z2!r}, {z3!r}) is not a state"
+                        f"({objs[z1]!r}, {objs[z2]!r}, {objs[z3]!r}) is not a state"
                     )
 
 
 class _Runner:
-    """Per-machine cache: states interned to ints, the rule memoized on triples."""
+    """Per-machine cache: states interned to ints, the rule memoized on triples.
+
+    The only caller of a machine's rule (``_miss``) and faces (``intern``).
+    It keeps those callables rather than the machine, so that the machine,
+    the weak key of ``_RUNNERS``, can be freed.
+    """
 
     def __init__(self, automaton: Automaton):
-        self.automaton = automaton
+        self.name = automaton.name
+        self.rule = automaton.rule
+        self.accepting = automaton.accepting
+        self.rejecting = automaton.rejecting
         self.objs: list = [INACTIVE]
         self.ids: dict = {INACTIVE: 0}
         self.table: dict = {}
@@ -275,9 +257,8 @@ class _Runner:
             sid = len(self.objs)
             self.ids[state] = sid
             self.objs.append(state)
-            aut = self.automaton
-            self.acc.append(bool(aut.accepting(state)))
-            self.rej.append(bool(aut.rejecting(state)) if aut.rejecting else False)
+            self.acc.append(bool(self.accepting(state)))
+            self.rej.append(bool(self.rejecting(state)) if self.rejecting else False)
         return sid
 
     def step(self, config: list) -> list:
@@ -298,11 +279,9 @@ class _Runner:
 
     def _miss(self, key: tuple) -> int:
         z1, z2, z3 = key
-        res = self.automaton.rule(self.objs[z1], self.objs[z2], self.objs[z3])
+        res = self.rule(self.objs[z1], self.objs[z2], self.objs[z3])
         if isinstance(res, _Inactive):
-            raise AlphabetError(
-                f"{self.automaton.name}: rule drove an active cell inactive"
-            )
+            raise AlphabetError(f"{self.name}: rule drove an active cell inactive")
         rid = self.intern(res)
         self.table[key] = rid
         return rid
@@ -329,13 +308,10 @@ def _runner_for(automaton: Automaton) -> _Runner:
     return runner
 
 
-def _run(
-    automaton: Automaton,
-    word: Iterable[str],
-    max_steps: Optional[int],
-    collect_trace: bool,
-    want_reject: bool,
-) -> Verdict:
+def _start(
+    automaton: Automaton, word: Iterable[str], max_steps: Optional[int]
+) -> tuple[_Runner, list, int]:
+    """The machine's runner, the interned step-0 configuration and the budget."""
     symbols = initial_configuration(automaton, word)
     if not symbols:
         raise EmptyInputError(f"{automaton.name}: no run on the empty word")
@@ -344,41 +320,56 @@ def _run(
         if automaton.time_bound is not None:
             max_steps = max(max_steps, automaton.time_bound + 1)
     runner = _runner_for(automaton)
-    config = [runner.intern(s) for s in symbols]
-    objs = runner.objs
-    raw_configs = [tuple(objs[s] for s in config)] if collect_trace else None
+    return runner, [runner.intern(s) for s in symbols], max_steps
 
-    def verdict(kind: str, steps: Optional[int]) -> Verdict:
-        trace = None
-        if collect_trace:
-            trace = Trace(automaton, tuple(raw_configs))
-        return Verdict(kind, steps, trace)
 
-    outcome = runner.finality(config, want_reject)
-    if outcome is not None:
-        return verdict(outcome, 0)
+def _evolve(runner: _Runner, config: list, max_steps: int) -> Iterator[list]:
+    """Yield ``config``, then one configuration per step for ``max_steps`` steps.
+
+    Stops early, before a configuration that repeats one of the last
+    ``_CYCLE_WINDOW``: the evolution is deterministic, so a repeat can never
+    lead anywhere new.
+    """
+    yield config
     recent: deque = deque(maxlen=_CYCLE_WINDOW)
     seen = set()
     key = tuple(config)
     recent.append(key)
     seen.add(key)
-    for t in range(1, max_steps + 1):
+    for _ in range(max_steps):
         config = runner.step(config)
         key = tuple(config)
         if key in seen:
-            # A repeat pins the whole future orbit to configurations already
-            # classified as non-final, so the run can never terminate.
-            return verdict(TIMEOUT, None)
-        if collect_trace:
-            raw_configs.append(tuple(objs[s] for s in config))
-        outcome = runner.finality(config, want_reject)
-        if outcome is not None:
-            return verdict(outcome, t)
+            return
+        yield config
         if len(recent) == _CYCLE_WINDOW:
             seen.discard(recent.popleft())
         recent.append(key)
         seen.add(key)
-    return verdict(TIMEOUT, None)
+
+
+def _run(
+    automaton: Automaton,
+    word: Iterable[str],
+    max_steps: Optional[int],
+    collect_trace: bool,
+    want_reject: bool,
+) -> Verdict:
+    runner, config, max_steps = _start(automaton, word, max_steps)
+    objs = runner.objs
+    raw_configs = []
+    for steps, config in enumerate(_evolve(runner, config, max_steps)):
+        if collect_trace:
+            raw_configs.append(tuple(objs[s] for s in config))
+        outcome = runner.finality(config, want_reject)
+        if outcome is not None:
+            break
+    else:
+        # The budget ran out, or a repeat pinned the future orbit to
+        # configurations already classified as non-final.
+        outcome, steps = TIMEOUT, None
+    trace = Trace(automaton, tuple(raw_configs)) if collect_trace else None
+    return Verdict(outcome, steps, trace)
 
 
 def run_acceptor(

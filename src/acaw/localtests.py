@@ -35,7 +35,7 @@ from .core import (
     global_step,
     initial_configuration,
 )
-from .rulefile import RuleFileError, serialize_rules
+from .rulefile import RuleFileError, directive_lines, serialize_rules
 
 
 @dataclass(frozen=True)
@@ -556,37 +556,24 @@ def aca_to_daca(acceptor: Automaton, t_const: int) -> Automaton:
 # ---------------------------------------------------------------------------
 # File formats.
 
-
-def _directive_lines(text: str, where: str) -> dict:
-    seen: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise RuleFileError(f"{where}:{lineno}: expected 'name: values'")
-        key, _, value = line.partition(":")
-        key = key.strip()
-        if key in seen:
-            raise RuleFileError(f"{where}:{lineno}: duplicate {key!r}")
-        seen[key] = value.strip()
-    return seen
+_SCANNER_KEYS = frozenset({"k", "alphabet", "pi", "sigma", "mu"})
 
 
 def parse_scanner(text: str, name: str = "scanner") -> Scanner:
     """Parse the scanner file format: k, alphabet, pi, sigma, mu directives."""
-    fields = _directive_lines(text, name)
-    missing = {"k", "alphabet", "pi", "sigma", "mu"} - set(fields)
+    fields: dict[str, list[str]] = {}
+    for where, key, tokens in directive_lines(text, name):
+        if key not in _SCANNER_KEYS:
+            raise RuleFileError(f"{where}: unknown directive {key!r}")
+        fields[key] = tokens
+    missing = _SCANNER_KEYS - set(fields)
     if missing:
         raise RuleFileError(f"{name}: missing directives {sorted(missing)}")
-    extra = set(fields) - {"k", "alphabet", "pi", "sigma", "mu"}
-    if extra:
-        raise RuleFileError(f"{name}: unknown directives {sorted(extra)}")
     try:
-        k = int(fields["k"])
+        (k,) = map(int, fields["k"])
     except ValueError:
         raise RuleFileError(f"{name}: k must be an integer") from None
-    alphabet = tuple(fields["alphabet"].split())
+    alphabet = tuple(fields["alphabet"])
     if not alphabet or any(len(sym) != 1 for sym in alphabet):
         raise RuleFileError(f"{name}: alphabet must list single-character symbols")
     if len(set(alphabet)) != len(alphabet):
@@ -595,9 +582,9 @@ def parse_scanner(text: str, name: str = "scanner") -> Scanner:
         return Scanner(
             k=k,
             alphabet=alphabet,
-            pi=frozenset(fields["pi"].split()),
-            sigma=frozenset(fields["sigma"].split()),
-            mu=frozenset(fields["mu"].split()),
+            pi=frozenset(fields["pi"]),
+            sigma=frozenset(fields["sigma"]),
+            mu=frozenset(fields["mu"]),
             name=name,
         )
     except ParameterError as exc:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import ParameterError
-from .rulefile import RuleFileError
+from .rulefile import RuleFileError, directive_lines
 
 
 @dataclass(frozen=True)
@@ -69,32 +69,20 @@ def parse_dfa(text: str, name: str = "dfa") -> Dfa:
     """
     sections: dict[str, list[str]] = {}
     transitions: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if ":" not in line:
-            raise RuleFileError(f"{name}:{lineno}: expected 'directive: values'")
-        key, _, rest = line.partition(":")
-        key = key.strip()
-        tokens = rest.split()
+    for where, key, tokens in directive_lines(text, name, repeatable=("trans",)):
         if key == "trans":
             if len(tokens) != 4 or tokens[2] != "->":
-                raise RuleFileError(
-                    f"{name}:{lineno}: expected 'trans: STATE LETTER -> STATE'"
-                )
+                raise RuleFileError(f"{where}: expected 'trans: STATE LETTER -> STATE'")
             source, letter, _, target = tokens
             if (source, letter) in transitions:
                 raise RuleFileError(
-                    f"{name}:{lineno}: second transition from {source!r} on {letter!r}"
+                    f"{where}: second transition from {source!r} on {letter!r}"
                 )
             transitions[(source, letter)] = target
         elif key in ("alphabet", "states", "start", "accept"):
-            if key in sections:
-                raise RuleFileError(f"{name}:{lineno}: duplicate '{key}:' line")
             sections[key] = tokens
         else:
-            raise RuleFileError(f"{name}:{lineno}: unknown directive {key!r}")
+            raise RuleFileError(f"{where}: unknown directive {key!r}")
     for needed in ("alphabet", "states", "start"):
         if not sections.get(needed):
             raise RuleFileError(f"{name}: missing or empty '{needed}:' line")

@@ -129,7 +129,9 @@ def generate_bin(k: int) -> str:
 def is_member_bin(word: str) -> bool:
     blocks = word.split("#")
     k = len(blocks[0])
-    if k < 1:
+    # The block count is checked first: building the 2^k blocks of a long
+    # first block would take exponential time and memory.
+    if k < 1 or len(blocks) != 2**k:
         return False
     return blocks == _counter_blocks(k)
 

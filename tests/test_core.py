@@ -1,5 +1,7 @@
 """Engine semantics: stepping, verdicts, budgets, validation."""
 
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,12 +21,14 @@ from acaw import (
     default_max_steps,
     global_step,
     initial_configuration,
+    parse_rule_table,
     render_configuration,
     run_acceptor,
     run_decider,
     set_automaton,
     validate,
 )
+from acaw.core import _CYCLE_WINDOW
 
 
 def shift_right_rule(left, center, right):
@@ -198,3 +202,117 @@ def test_shift_machine_agrees_with_closed_form(word):
         assert v.kind == ACCEPT and v.steps == 0
     else:
         assert v.kind == TIMEOUT
+
+
+def test_runner_cache_frees_machines():
+    machines = [
+        make_shift(accept=("1",), reject=("0",)),
+        parse_rule_table(
+            "alphabet: 0 1\nstates: 0 1\naccept: 1\nrule: q * * -> 1\ndefault: center\n"
+        ),
+    ]
+    refs = [weakref.ref(m) for m in machines]
+    for machine in machines:
+        run = run_decider if machine.is_decider else run_acceptor
+        run(machine, "010", collect_trace=True)
+        global_step(machine, ("1", "0"))
+        classify(machine, ("1", "1"))
+        validate(machine)
+    del machines, machine
+    assert [ref() for ref in refs] == [None, None]
+
+
+# The reference stepper: the rule called on every cell of every step, with
+# no interning and no memo.  The engine must agree with it exactly.
+def reference_step(automaton, config):
+    n = len(config)
+    return tuple(
+        automaton.rule(
+            config[i - 1] if i > 0 else INACTIVE,
+            config[i],
+            config[i + 1] if i + 1 < n else INACTIVE,
+        )
+        for i in range(n)
+    )
+
+
+def reference_classify(automaton, config):
+    if all(automaton.accepting(s) for s in config):
+        return ACCEPT
+    if automaton.rejecting is not None and all(automaton.rejecting(s) for s in config):
+        return REJECT
+    return None
+
+
+def reference_evolution(automaton, word, max_steps):
+    """Step 0 and one configuration per step, cut before a repeat of any of
+    the last ``_CYCLE_WINDOW`` configurations."""
+    history = [tuple(word)]
+    for _ in range(max_steps):
+        config = reference_step(automaton, history[-1])
+        if config in history[-_CYCLE_WINDOW:]:
+            break
+        history.append(config)
+    return history
+
+
+@st.composite
+def rule_tables(draw):
+    """A random rule table with wildcards, as an acceptor or a decider."""
+    alphabet = draw(st.sampled_from([["0"], ["0", "1"]]))
+    states = alphabet + draw(st.lists(st.sampled_from("abc"), unique=True, max_size=3))
+    accept = draw(st.lists(st.sampled_from(states), min_size=1, max_size=2, unique=True))
+    others = [s for s in states if s not in accept]
+    reject = None
+    if others and draw(st.booleans()):
+        reject = draw(st.lists(st.sampled_from(others), min_size=1, unique=True))
+    flank = st.sampled_from(states + ["q", "*"])
+    output = st.sampled_from(states)
+    rows = draw(
+        st.lists(
+            st.tuples(flank, st.sampled_from(states + ["*"]), flank, output), max_size=12
+        )
+    )
+    default = draw(st.sampled_from(["center", "none"]))
+    if default == "none":
+        rows.append(("*", "*", "*", draw(output)))
+    lines = [
+        "alphabet: " + " ".join(alphabet),
+        "states: " + " ".join(states),
+        "accept: " + " ".join(accept),
+    ]
+    if reject is not None:
+        lines.append("reject: " + " ".join(reject))
+    lines += [f"rule: {x} {y} {z} -> {w}" for x, y, z, w in rows]
+    lines.append(f"default: {default}")
+    return parse_rule_table("\n".join(lines) + "\n", name="random"), states
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_engine_matches_reference_stepper(data):
+    machine, states = data.draw(rule_tables())
+    word = data.draw(st.text(alphabet="".join(machine.input_alphabet), min_size=1, max_size=8))
+    max_steps = data.draw(st.none() | st.integers(0, 30))
+    budget = default_max_steps(len(word)) if max_steps is None else max_steps
+    history = reference_evolution(machine, word, budget)
+
+    assert list(configurations(machine, word, max_steps)) == history
+    outcomes = [reference_classify(machine, config) for config in history]
+    assert [classify(machine, config) for config in history] == outcomes
+    for config in history:
+        assert global_step(machine, config) == reference_step(machine, config)
+
+    run = run_decider if machine.is_decider else run_acceptor
+    verdict = run(machine, word, max_steps, collect_trace=True)
+    final = [t for t, outcome in enumerate(outcomes) if outcome is not None]
+    if final:
+        t = final[0]
+        expected = (outcomes[t], t, tuple(history[: t + 1]))
+    else:
+        expected = (TIMEOUT, None, tuple(history))
+    assert (verdict.kind, verdict.steps, verdict.trace.configurations) == expected
+
+    config = tuple(data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=6)))
+    assert global_step(machine, config) == reference_step(machine, config)
+    assert classify(machine, config) == reference_classify(machine, config)

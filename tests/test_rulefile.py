@@ -1,5 +1,7 @@
 """Rule-table file format: parsing, matching order, serialization."""
 
+from pathlib import Path
+
 import pytest
 
 from acaw import (
@@ -8,7 +10,9 @@ from acaw import (
     RuleFileError,
     TABLE_SOURCES,
     load_rule_table,
+    parse_dfa,
     parse_rule_table,
+    parse_scanner,
     run_acceptor,
     run_decider,
     save_rule_table,
@@ -115,6 +119,30 @@ def test_malformed_tables_rejected(mutation):
         pytest.skip("mutation did not apply")
     with pytest.raises(RuleFileError):
         parse_rule_table(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, lineno",
+    [
+        (parse_rule_table, MINIMAL + "accept: a\n", 6),
+        (parse_rule_table, MINIMAL.replace("-> a", "-> *"), 4),
+        (parse_rule_table, "# heading\n\n" + MINIMAL.replace("center", "sideways"), 7),
+        (parse_scanner, "k: 1\nnu: 0\n", 2),
+        (parse_dfa, "alphabet: 0\nstates: a\n\nstates a\n", 4),
+    ],
+)
+def test_line_errors_carry_name_and_line(parse, text, lineno):
+    """All three ``key: values`` parsers report a bad line as name:lineno."""
+    with pytest.raises(RuleFileError, match=rf"^bad:{lineno}: "):
+        parse(text, name="bad")
+
+
+def test_readme_example_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Rule table format", 1)[1]
+    block = section.split("```\n")[1]
+    a = parse_rule_table(block, name="readme")
+    assert a.is_decider and a.states == ("0", "1", "a", "r")
 
 
 def test_reserved_state_names_rejected():

@@ -125,6 +125,13 @@ def test_generators_and_membership_agree():
     assert generate_someone(4) == "0001"
 
 
+def test_bin_membership_rejects_long_first_block():
+    """A 40-symbol first block would need 2^40 counter blocks to compare."""
+    assert not is_member_bin("0" * 40 + "#1")
+    assert not is_member_bin("0" * 40)
+    assert not is_member_bin("00#01#10")
+
+
 def test_generated_lengths():
     for k in range(1, 10):
         assert len(generate_bin(k)) == (k + 1) * 2**k - 1
