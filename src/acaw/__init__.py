@@ -81,7 +81,6 @@ from .localtests import (
     lt_scanner,
     parse_lt_expression,
     parse_scanner,
-    profile_key,
     scanner_accepts,
     tabulate_by_observation,
 )

@@ -69,7 +69,7 @@ class _Inactive:
 INACTIVE = _Inactive()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Automaton:
     """A radius-1 machine with unanimous-acceptance semantics.
 
@@ -82,6 +82,8 @@ class Automaton:
     ``states`` enumerates the full active state set when it is small enough
     to write down; machines whose states are generated on the fly leave it
     ``None`` (they cannot be validated exhaustively or saved to rule files).
+    Machines compare and hash by identity, so looking one up costs the same
+    whatever the size of ``states``.
     """
 
     name: str

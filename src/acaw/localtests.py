@@ -3,8 +3,9 @@
 A scanner checks a word with one window predicate: the length-k prefix must
 lie in ``pi``, every length-k infix in ``mu``, and the length-k suffix in
 ``sigma``.  Boolean combinations of scanners form the locally testable
-languages; membership then depends only on the word's profile, the triple
-(prefix, infix set, suffix) at the expression's window size.
+languages; membership then depends only on the word's profile
+(:class:`acaw.words.Profile`: prefix, infix set, suffix) at the expression's
+window size.
 
 Both compilers below share one machine skeleton: every cell copies one more
 symbol from each side per step until it holds its radius-G neighborhood,
@@ -22,6 +23,7 @@ from __future__ import annotations
 import itertools
 import pathlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple, Optional
 
 _TABULATE_STEP_CEILING = 10_000
@@ -36,6 +38,7 @@ from .core import (
     initial_configuration,
 )
 from .rulefile import RuleFileError, directive_lines, serialize_rules
+from .words import profile
 
 
 @dataclass(frozen=True)
@@ -163,33 +166,14 @@ def lt_eval(expr: LTExpression, word: str) -> bool:
     return any(results) if expr.op == "or" else all(results)
 
 
-def profile_key(word: str, k: int):
-    """The (prefix, infix set, suffix) triple at width k; short words stand alone."""
-    if len(word) < k:
-        return ("short", word)
-    infixes = frozenset(word[i : i + k] for i in range(len(word) - k + 1))
-    return (word[:k], infixes, word[-k:])
-
-
 @dataclass(frozen=True)
 class ProfileTable:
-    """Membership bit for every profile triple any word can realize."""
+    """Membership bit for every profile any word can realize."""
 
     k: int
     alphabet: tuple
-    bits: dict = field(hash=False)
-    realizers: dict = field(hash=False)  # one witness word per triple
-
-
-def _extend_key(key, letter: str, k: int):
-    if key[0] == "short":
-        word = key[1] + letter
-        if len(word) < k:
-            return ("short", word)
-        return (word, frozenset((word,)), word)
-    prefix, infixes, suffix = key
-    new_suffix = (suffix + letter)[1:]
-    return (prefix, infixes | {new_suffix}, new_suffix)
+    bits: dict = field(hash=False)  # words.Profile -> bit
+    realizers: dict = field(hash=False)  # one witness word per profile
 
 
 def lt_profile_table(expr: LTExpression) -> ProfileTable:
@@ -197,22 +181,21 @@ def lt_profile_table(expr: LTExpression) -> ProfileTable:
 
     Appending a letter changes a profile in a way that depends on the profile
     alone, so breadth-first search from the one-letter words visits each
-    realizable triple exactly once and carries a short realizing word along.
+    realizable profile exactly once and carries a short realizing word along.
     """
     k = expr.window
     alphabet = tuple(sorted(expr.alphabet))
     realizers: dict = {}
     queue = []
     for letter in alphabet:
-        key = profile_key(letter, k)
+        key = profile(letter, k)
         if key not in realizers:
             realizers[key] = letter
             queue.append(key)
-    while queue:
-        key = queue.pop(0)
+    for key in queue:
         word = realizers[key]
         for letter in alphabet:
-            nxt = _extend_key(key, letter, k)
+            nxt = key.extend(letter)
             if nxt not in realizers:
                 realizers[nxt] = word + letter
                 queue.append(nxt)
@@ -227,12 +210,6 @@ def lt_profile_table(expr: LTExpression) -> ProfileTable:
 class WState(NamedTuple):
     phase: int
     window: tuple  # symbols at offsets -phase..phase, 'q' beyond the border
-
-
-def _at(window: tuple, d: int) -> str:
-    center = len(window) // 2
-    i = center + d
-    return window[i] if 0 <= i < len(window) else "q"
 
 
 class _WindowRule:
@@ -252,71 +229,26 @@ class _WindowRule:
         return WState(min(center.phase + 1, self.cap), center.window)
 
 
-def _scanner_certificate(scanner: Scanner, window: tuple) -> bool:
-    """This cell's share of the scanner condition, from its gathered window.
+def _certificate(k: int, pi, mu, sigma, window: tuple) -> bool:
+    """This cell's share of a window test, from its gathered window.
 
-    The conjunction over all cells is exactly scanner_accepts: interior cells
-    check the window starting at their own position, border cells addition-
-    ally pin the prefix and suffix, and a word shorter than k fails at its
-    first cell because no full-width prefix exists.
+    A cell whose forward k-window is full checks it against ``mu``.  A cell
+    at the left border reads up to k symbols ahead, fewer if the word ends
+    first, and checks them against ``pi``; a cell at the right border does
+    the same behind it against ``sigma``.  So the conjunction over all cells
+    holds exactly when the word's k-prefix lies in pi, its k-infixes in mu
+    and its k-suffix in sigma, where a word shorter than k is its own
+    prefix, only infix and suffix.
     """
-    k = scanner.k
-    if _at(window, k - 1) != "q":
-        seg = "".join(_at(window, d) for d in range(k))
-        if seg not in scanner.mu:
-            return False
-    if _at(window, -1) == "q":
-        pre = []
-        for d in range(k):
-            sym = _at(window, d)
-            if sym == "q":
-                break
-            pre.append(sym)
-        if len(pre) < k or "".join(pre) not in scanner.pi:
-            return False
-    if _at(window, 1) == "q":
-        suf = []
-        for d in range(k):
-            sym = _at(window, -d)
-            if sym == "q":
-                break
-            suf.append(sym)
-        if len(suf) < k or "".join(reversed(suf)) not in scanner.sigma:
-            return False
-    return True
-
-
-def _active_segment(window: tuple) -> Optional[str]:
-    """The whole word if both borders are visible from here, else None."""
-    lo = 0
-    while _at(window, lo - 1) != "q":
-        lo -= 1
-        if len(window) // 2 + lo - 1 < 0:
-            return None
-    hi = 0
-    while _at(window, hi + 1) != "q":
-        hi += 1
-        if len(window) // 2 + hi + 1 >= len(window):
-            return None
-    return "".join(_at(window, d) for d in range(lo, hi + 1))
-
-
-def _profile_certificate(key, k: int, window: tuple) -> bool:
-    """This cell's share of "the word's profile matches this table key"."""
-    if key[0] == "short":
-        return _active_segment(window) == key[1]
-    prefix, infix_set, suffix = key
-    if _at(window, k - 1) != "q":
-        seg = "".join(_at(window, d) for d in range(k))
-        if seg not in infix_set:
-            return False
-    if _at(window, -1) == "q":
-        pre = [_at(window, d) for d in range(k)]
-        if "q" in pre or "".join(pre) != prefix:
-            return False
-    if _at(window, 1) == "q":
-        suf = [_at(window, -d) for d in range(k - 1, -1, -1)]
-        if "q" in suf or "".join(suf) != suffix:
+    centre = len(window) // 2  # the gathered radius is at least k
+    ahead = "".join(window[centre : centre + k]).partition("q")[0]
+    if window[centre + k - 1] != "q" and ahead not in mu:
+        return False
+    if window[centre - 1] == "q" and ahead not in pi:
+        return False
+    if window[centre + 1] == "q":
+        behind = "".join(window[centre - k + 1 : centre + 1]).rpartition("q")[2]
+        if behind not in sigma:
             return False
     return True
 
@@ -356,9 +288,13 @@ def compile_slt_union_to_aca(scanners: list) -> Automaton:
         raise AlphabetError("scanners disagree on the alphabet")
     alphabet = next(iter(alphabets)) if alphabets else ("0", "1")
     gather = max((s.k for s in scanners), default=1)
-    checks = [
-        ((lambda w, s=s: _scanner_certificate(s, w)), True) for s in scanners
-    ]
+    checks = []
+    for s in scanners:
+        # A scanner accepts no word shorter than k: only its full-width
+        # prefix and suffix words can certify.
+        pi = frozenset(w for w in s.pi if len(w) == s.k)
+        sigma = frozenset(w for w in s.sigma if len(w) == s.k)
+        checks.append((partial(_certificate, s.k, pi, s.mu, sigma), True))
     rule = _WindowRule(gather, gather + len(checks) + 1)
     return Automaton(
         name="slt-union",
@@ -374,24 +310,21 @@ def compile_slt_union_to_aca(scanners: list) -> Automaton:
 def compile_lt_to_daca(expr: LTExpression) -> Automaton:
     """Decider for the expression language, constant decision time.
 
-    One checkpoint per realizable profile triple, ordered by increasing
-    infix-set size: the first checkpoint a word triggers is the one with
-    its exact infix set, so the verdict is that triple's table bit.  A last
-    unconditional all-reject checkpoint keeps the machine total.
+    One checkpoint per realizable profile, short words first, then by
+    increasing infix-set size: the first checkpoint a word triggers is the
+    one with its exact profile, so the verdict is that profile's table bit.
+    A last unconditional all-reject checkpoint keeps the machine total.
     """
     table = lt_profile_table(expr)
     k = table.k
 
     def order(item):
-        key, _ = item
-        if key[0] == "short":
-            return (0, len(key[1]), key[1])
-        prefix, infixes, suffix = key
-        return (1, len(infixes), tuple(sorted(infixes)), prefix, suffix)
+        p, _ = item
+        return (len(p.prefix), len(p.infixes), sorted(p.infixes), p.prefix, p.suffix)
 
     checks = [
-        ((lambda w, key=key: _profile_certificate(key, k, w)), bit)
-        for key, bit in sorted(table.bits.items(), key=order)
+        (partial(_certificate, k, {p.prefix}, p.infixes, {p.suffix}), bit)
+        for p, bit in sorted(table.bits.items(), key=order)
     ]
     rule = _WindowRule(k, k + len(checks) + 2)
     return Automaton(

@@ -37,15 +37,14 @@ class RuleFileError(AcawError):
 
 
 class _TableRule:
-    """First-match-wins pattern list with per-triple memoization."""
+    """First-match-wins pattern list; the engine's runner memoizes its calls."""
 
-    __slots__ = ("patterns", "default_center", "memo", "name")
+    __slots__ = ("patterns", "default_center", "name")
 
     def __init__(self, name: str, patterns: list, default_center: bool):
         self.name = name
         self.patterns = patterns
         self.default_center = default_center
-        self.memo: dict = {}
 
     def lookup(self, z1: str, z2: str, z3: str) -> Optional[str]:
         """Match a triple (flanks given as tokens, 'q' for the border)."""
@@ -60,14 +59,9 @@ class _TableRule:
             z2,
             "q" if isinstance(z3, _Inactive) else z3,
         )
-        out = self.memo.get(key)
+        out = self.lookup(*key)
         if out is None:
-            out = self.lookup(*key)
-            if out is None:
-                raise RuleFileError(
-                    f"{self.name}: no rule matches {key} and default is none"
-                )
-            self.memo[key] = out
+            raise RuleFileError(f"{self.name}: no rule matches {key} and default is none")
         return out
 
 

@@ -36,7 +36,7 @@ def prefix_of(word: str, k: int) -> str:
 def suffix_of(word: str, k: int) -> str:
     if k < 0:
         raise ParameterError("window length must be non-negative")
-    return word[len(word) - k :] if k > 0 else ""
+    return word[-k:] if k > 0 else ""
 
 
 def infix_set(word: str, k: int) -> frozenset[str]:
@@ -53,6 +53,15 @@ class Profile:
     prefix: str
     suffix: str
     infixes: frozenset[str]
+
+    def extend(self, letter: str) -> Profile:
+        """The profile of every word with this profile followed by ``letter``."""
+        k = self.k
+        suffix = suffix_of(self.suffix + letter, k)
+        if len(self.prefix) < k:  # a short word: the profile holds all of it
+            word = self.prefix + letter
+            return Profile(k, word, suffix, frozenset((word,)))
+        return Profile(k, self.prefix, suffix, self.infixes | {suffix})
 
 
 def profile(word: str, k: int) -> Profile:

@@ -145,7 +145,9 @@ def generate_idmat(k: int) -> str:
 def is_member_idmat(word: str) -> bool:
     blocks = word.split("#")
     k = len(blocks)
-    if not blocks[0]:
+    # Each block's length is checked first: building the k rows of length k
+    # would take quadratic time and memory on a word of many short blocks.
+    if any(len(block) != k for block in blocks):
         return False
     return blocks == _unit_row_blocks(k)
 

@@ -222,6 +222,26 @@ def test_runner_cache_frees_machines():
     assert [ref() for ref in refs] == [None, None]
 
 
+def test_runner_lookup_does_not_hash_states():
+    """Finding a machine's runner must not cost a pass over its state list."""
+
+    class Unreached:
+        calls = 0
+
+        def __hash__(self):
+            Unreached.calls += 1
+            return 0
+
+    machine = set_automaton(
+        "counted", "01", lambda left, centre, right: centre,
+        accept_states={"1"}, reject_states={"0"}, states=("0", "1", Unreached()),
+    )
+    run_decider(machine, "01")
+    global_step(machine, ("1", "0"))
+    classify(machine, ("1", "1"))
+    assert Unreached.calls == 0
+
+
 # The reference stepper: the rule called on every cell of every step, with
 # no interning and no memo.  The engine must agree with it exactly.
 def reference_step(automaton, config):

@@ -14,6 +14,7 @@ from acaw import (
     LTExpression,
     ModeError,
     ParameterError,
+    Profile,
     RuleFileError,
     Scanner,
     aca_to_daca,
@@ -31,7 +32,7 @@ from acaw import (
     parse_lt_expression,
     parse_rule_table,
     parse_scanner,
-    profile_key,
+    profile,
     run_acceptor,
     run_decider,
     scanner_accepts,
@@ -59,6 +60,27 @@ NO11 = Scanner(
     name="no11",
 )
 SOMEONE_EXPR = lt_not(lt_scanner(ALL0))
+
+# Window 3 and up is where a short word (shorter than the window) has cells
+# that see neither border; at window 2 every cell of a short word is a
+# border cell.  The short pi and sigma words can never certify: a scanner
+# accepts no word shorter than its window.
+NO111_FROM0 = Scanner(
+    k=3, alphabet=BITS,
+    pi=frozenset({"000", "001", "010", "011", "0", "01"}),
+    sigma=frozenset({"".join(t) for t in itertools.product(BITS, repeat=3)} | {"1", "01"}),
+    mu=frozenset({"".join(t) for t in itertools.product(BITS, repeat=3)}) - {"111"},
+    name="no111-from0",
+)
+SPARSE4 = Scanner(
+    k=4, alphabet=BITS,
+    pi=frozenset({"".join(t) for t in itertools.product(BITS, repeat=4)}),
+    sigma=frozenset({"".join(t) for t in itertools.product(BITS, repeat=4) if t[-1] == "0"}),
+    mu=frozenset({"".join(t) for t in itertools.product(BITS, repeat=4) if t.count("1") <= 1}),
+    name="sparse4",
+)
+# Unions at windows 3 and 4, checked by both compilers.
+WIDE_UNIONS = ([NO111_FROM0, ALL0], [SPARSE4, PAIR01])
 
 
 def words(alphabet, max_len):
@@ -145,9 +167,9 @@ def test_lt_eval():
 
 
 def test_profile_key():
-    assert profile_key("0", 2) == ("short", "0")
-    assert profile_key("0101", 2) == ("01", frozenset({"01", "10"}), "01")
-    assert profile_key("01", 2) == ("01", frozenset({"01"}), "01")
+    assert profile("0", 2) == Profile(2, "0", "0", frozenset({"0"}))
+    assert profile("0101", 2) == Profile(2, "01", "01", frozenset({"01", "10"}))
+    assert profile("01", 2) == Profile(2, "01", "01", frozenset({"01"}))
 
 
 TABLE_EXPR = lt_and(lt_scanner(NO11), SOMEONE_EXPR)
@@ -157,31 +179,32 @@ TABLE = lt_profile_table(TABLE_EXPR)
 def test_profile_table_covers_all_words_correctly():
     seen = set()
     for w in words("01", 8):
-        key = profile_key(w, TABLE.k)
+        key = profile(w, TABLE.k)
         seen.add(key)
         assert key in TABLE.bits, w
         assert TABLE.bits[key] == lt_eval(TABLE_EXPR, w), w
     # every key reachable by length 8 was realized, none with a wrong witness
     for key, word in TABLE.realizers.items():
-        assert profile_key(word, TABLE.k) == key
+        assert profile(word, TABLE.k) == key
     assert seen <= set(TABLE.bits)
 
 
 @given(st.text(alphabet="01", min_size=1, max_size=48))
 def test_profile_table_lookup_is_membership(word):
-    key = profile_key(word, TABLE.k)
+    key = profile(word, TABLE.k)
     assert TABLE.bits[key] == lt_eval(TABLE_EXPR, word)
 
 
 def test_slt_union_compiler_matches_reference():
-    machine = compile_slt_union_to_aca([PAIR01, ALL0])
-    expr = lt_or(lt_scanner(PAIR01), lt_scanner(ALL0))
-    assert machine.time_bound == 2 + 2 + 1
-    for w in words("01", 8):
-        verdict = run_acceptor(machine, w)
-        assert (verdict.kind == ACCEPT) == lt_eval(expr, w), w
-        if verdict.kind == ACCEPT:
-            assert verdict.steps <= machine.time_bound
+    for scanners in ([PAIR01, ALL0], *WIDE_UNIONS):
+        machine = compile_slt_union_to_aca(scanners)
+        expr = lt_or(*map(lt_scanner, scanners))
+        assert machine.time_bound == max(s.k for s in scanners) + len(scanners) + 1
+        for w in words("01", 8):
+            verdict = run_acceptor(machine, w)
+            assert (verdict.kind == ACCEPT) == lt_eval(expr, w), w
+            if verdict.kind == ACCEPT:
+                assert verdict.steps <= machine.time_bound
 
 
 def test_slt_union_accept_time_is_constant_per_scanner():
@@ -209,7 +232,8 @@ def test_slt_union_alphabet_mismatch():
 
 
 def test_lt_decider_is_total_and_correct():
-    for expr in (SOMEONE_EXPR, lt_scanner(PAIR01), TABLE_EXPR):
+    wide = [lt_or(*map(lt_scanner, scanners)) for scanners in WIDE_UNIONS]
+    for expr in (SOMEONE_EXPR, lt_scanner(PAIR01), TABLE_EXPR, *wide):
         dec = compile_lt_to_daca(expr)
         for w in words("01", 7):
             verdict = run_decider(dec, w)

@@ -1,7 +1,7 @@
 """Profiles, transfer hypotheses, and the two contraction procedures."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acaw import (
@@ -29,11 +29,23 @@ def test_prefix_suffix_basics():
     assert suffix_of("abc", 0) == ""
     assert prefix_of("abc", 9) == "abc"
     assert suffix_of("abc", 9) == "abc"
+    assert suffix_of("abc", 4) == "abc"
 
 
 def test_infix_set_degrades_to_singleton():
     assert infix_set("ab", 3) == frozenset({"ab"})
     assert infix_set("abab", 2) == frozenset({"ab", "ba"})
+
+
+@given(
+    st.text(alphabet="ab", max_size=10),
+    st.sampled_from("ab"),
+    st.integers(min_value=0, max_value=5),
+)
+@example("ab", "a", 3)  # short to long: the word reaches the window width
+@example("a", "b", 3)  # short to short
+def test_profile_extend_is_profile_of_extended_word(word, letter, k):
+    assert profile(word, k).extend(letter) == profile(word + letter, k)
 
 
 def test_negative_window_rejected():

@@ -1,6 +1,7 @@
 """Built-in machines: frozen traces, exact step counts, soundness, witnesses."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -130,6 +131,19 @@ def test_bin_membership_rejects_long_first_block():
     assert not is_member_bin("0" * 40 + "#1")
     assert not is_member_bin("0" * 40)
     assert not is_member_bin("00#01#10")
+
+
+def test_idmat_membership_is_linear_on_many_short_blocks():
+    """8000 blocks would need 8000 unit rows of length 8000 (64 MB) to compare."""
+    tracemalloc.start()
+    try:
+        assert not is_member_idmat("0#" * 8000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert not is_member_idmat("")
+    assert not is_member_idmat("10#01#")
 
 
 def test_generated_lengths():
