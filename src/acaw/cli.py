@@ -177,7 +177,7 @@ def _cmd_compile(args) -> int:
         expr = load_lt_expression(path)
         machine = compile_lt_to_daca(expr)
         gather = expr.window
-    text = tabulate_by_observation(machine, probe_len=2 * gather + 3, name=path.stem)
+    text = tabulate_by_observation(machine, probe_len=gather + 4, name=path.stem)
     pathlib.Path(args.out).write_text(text)
     n_states = len(text.splitlines()[2].split()) - 1  # the states: line
     print(

@@ -7,9 +7,10 @@ languages; membership then depends only on the word's profile
 (:class:`acaw.words.Profile`: prefix, infix set, suffix) at the expression's
 window size.
 
-Both compilers below share one machine skeleton: every cell copies one more
-symbol from each side per step until it holds its radius-G neighborhood,
-with the border padded by ``q``; after that a phase counter walks a fixed
+Both compilers below share one machine skeleton: every cell notes at step 0
+whether its left neighbour is the border, then copies one more symbol from
+its right neighbour per step until it holds the G symbols ahead of it, with
+the border padded by ``q``; after that a phase counter walks a fixed
 checkpoint schedule.  At a checkpoint every cell either shows the machine's
 accept face (or reject face, for deciders) or stays neutral, and the
 all-cells acceptance condition turns the conjunction of the per-cell window
@@ -58,13 +59,9 @@ class Scanner:
         symbols = set(self.alphabet)
         if "q" in symbols:
             raise ParameterError(f"{self.name}: the symbol q is reserved")
-        for label, words, exact in (
-            ("pi", self.pi, False),
-            ("sigma", self.sigma, False),
-            ("mu", self.mu, True),
-        ):
+        for label, words in (("pi", self.pi), ("sigma", self.sigma), ("mu", self.mu)):
             for w in words:
-                if not w or (len(w) != self.k if exact else len(w) > self.k):
+                if len(w) != self.k:
                     raise ParameterError(
                         f"{self.name}: {label} word {w!r} has a bad length for k={self.k}"
                     )
@@ -209,7 +206,8 @@ def lt_profile_table(expr: LTExpression) -> ProfileTable:
 
 class WState(NamedTuple):
     phase: int
-    window: tuple  # symbols at offsets -phase..phase, 'q' beyond the border
+    at_left: bool  # the left neighbour is the border
+    ahead: tuple  # symbols at offsets 0..min(phase, G), 'q' beyond the border
 
 
 class _WindowRule:
@@ -219,36 +217,33 @@ class _WindowRule:
 
     def __call__(self, left, center, right):
         if not isinstance(center, WState):
-            lsym = left if isinstance(left, str) else "q"
             rsym = right if isinstance(right, str) else "q"
-            return WState(1, (lsym, center, rsym))
+            return WState(1, not isinstance(left, str), (center, rsym))
         if center.phase < self.gather:
-            lsym = left.window[0] if isinstance(left, WState) else "q"
-            rsym = right.window[-1] if isinstance(right, WState) else "q"
-            return WState(center.phase + 1, (lsym,) + center.window + (rsym,))
-        return WState(min(center.phase + 1, self.cap), center.window)
+            rsym = right.ahead[-1] if isinstance(right, WState) else "q"
+            return WState(center.phase + 1, center.at_left, center.ahead + (rsym,))
+        return center._replace(phase=min(center.phase + 1, self.cap))
 
 
-def _certificate(k: int, pi, mu, sigma, window: tuple) -> bool:
-    """This cell's share of a window test, from its gathered window.
+def _certificate(k: int, pi, mu, sigma, state: WState) -> bool:
+    """This cell's share of a window test, from the symbols ahead of it.
 
-    A cell whose forward k-window is full checks it against ``mu``.  A cell
-    at the left border reads up to k symbols ahead, fewer if the word ends
-    first, and checks them against ``pi``; a cell at the right border does
-    the same behind it against ``sigma``.  So the conjunction over all cells
+    A cell whose k-window ahead is full checks it against ``mu``, and also
+    against ``sigma`` when the border follows it.  A cell at the left border
+    checks the symbols up to k ahead against ``pi``, and against ``sigma``
+    too if the word ends within them.  So the conjunction over all cells
     holds exactly when the word's k-prefix lies in pi, its k-infixes in mu
     and its k-suffix in sigma, where a word shorter than k is its own
     prefix, only infix and suffix.
     """
-    centre = len(window) // 2  # the gathered radius is at least k
-    ahead = "".join(window[centre : centre + k]).partition("q")[0]
-    if window[centre + k - 1] != "q" and ahead not in mu:
-        return False
-    if window[centre - 1] == "q" and ahead not in pi:
-        return False
-    if window[centre + 1] == "q":
-        behind = "".join(window[centre - k + 1 : centre + 1]).rpartition("q")[2]
-        if behind not in sigma:
+    ahead = state.ahead  # offsets 0..G with G >= k
+    window = "".join(ahead[:k])
+    if ahead[k - 1] != "q":
+        if window not in mu or (ahead[k] == "q" and window not in sigma):
+            return False
+    if state.at_left:
+        start = window.partition("q")[0]
+        if start not in pi or (len(start) < k and start not in sigma):
             return False
     return True
 
@@ -268,7 +263,7 @@ class _ChecksFaces:
         idx = state.phase - self.gather - 1
         if 0 <= idx < len(self.checks):
             certificate, bit = self.checks[idx]
-            return bit == self.want and certificate(state.window)
+            return bit == self.want and certificate(state)
         if self.final_reject and idx == len(self.checks):
             return True
         return False
@@ -277,7 +272,7 @@ class _ChecksFaces:
 def compile_slt_union_to_aca(scanners: list) -> Automaton:
     """Acceptor for the union of the scanner languages, constant accept time.
 
-    Cells gather a radius-K window in K steps (K the largest scanner width),
+    Cells gather the K symbols ahead in K steps (K the largest scanner width),
     then checkpoint K+i certifies scanner i; the word is accepted at the
     first checkpoint whose scanner accepts it.  An empty list compiles to a
     machine that accepts nothing.
@@ -288,13 +283,7 @@ def compile_slt_union_to_aca(scanners: list) -> Automaton:
         raise AlphabetError("scanners disagree on the alphabet")
     alphabet = next(iter(alphabets)) if alphabets else ("0", "1")
     gather = max((s.k for s in scanners), default=1)
-    checks = []
-    for s in scanners:
-        # A scanner accepts no word shorter than k: only its full-width
-        # prefix and suffix words can certify.
-        pi = frozenset(w for w in s.pi if len(w) == s.k)
-        sigma = frozenset(w for w in s.sigma if len(w) == s.k)
-        checks.append((partial(_certificate, s.k, pi, s.mu, sigma), True))
+    checks = [(partial(_certificate, s.k, s.pi, s.mu, s.sigma), True) for s in scanners]
     rule = _WindowRule(gather, gather + len(checks) + 1)
     return Automaton(
         name="slt-union",
@@ -615,12 +604,13 @@ def load_lt_expression(path) -> LTExpression:
 def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = None) -> str:
     """Flatten a structured-state machine to the rule-table format.
 
-    Every cell state of the compiled machines is a function of the cell's
-    radius-G gathered window and the phase, so each rule-table triple the
-    machine can ever invoke already occurs while simulating all words up to
-    length 2G+3 (a triple is pinned by a radius-(G+1) window).  The probe
-    length is the caller's promise of that bound; the emitted table replays
-    the machine exactly, with unreachable triples defaulting to the centre.
+    Every cell state of the compiled machines is a function of the phase,
+    the cell's left-border flag and the symbols at offsets 0..G ahead of it,
+    so a triple depends only on offsets -2..G+1 around its centre, and each
+    triple the machine can ever invoke already occurs while simulating all
+    words up to length G+4.  The probe length is the caller's promise of
+    that bound; the emitted table replays the machine exactly, with
+    unreachable triples defaulting to the centre.
     """
     if probe_len < 1:
         raise ParameterError("probe length must be >= 1")

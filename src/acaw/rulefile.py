@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Container, Iterable, Iterator, Optional
 
-from .core import INACTIVE, AcawError, Automaton, _Inactive
+from .core import INACTIVE, AcawError, Automaton, _Inactive, validate
 
 _RESERVED = {"q", "*", "->"}
 
@@ -225,12 +225,16 @@ def serialize_rules(
 
 
 def save_rule_table(automaton: Automaton) -> str:
-    """Render an enumerated machine to the file format (full-domain walk)."""
+    """Render an enumerated machine to the file format (full-domain walk).
+
+    The machine is validated first, so a table this writes always loads.
+    """
     if automaton.states is None:
         raise RuleFileError(
             f"{automaton.name}: machine generates states on the fly and has no"
             " flat table form"
         )
+    validate(automaton)
     states = [str(s) for s in automaton.states]
     if len(set(states)) != len(states):
         raise RuleFileError(f"{automaton.name}: state names collide when rendered")

@@ -208,8 +208,7 @@ def syntactic_semigroup(dfa: Dfa) -> Semigroup:
         if t not in words:
             words[t] = a
             queue.append(t)
-    while queue:
-        t = queue.pop(0)
+    for t in queue:
         for a in m.alphabet:
             u = tuple(letters[a][i] for i in t)
             if u not in words:

@@ -1,10 +1,12 @@
 """The acaw command line: every subcommand, every exit code."""
 
+import itertools
 import shutil
 import subprocess
 
 import pytest
 
+from acaw import ACCEPT, load_rule_table, parse_scanner, run_acceptor, scanner_accepts
 from acaw.cli import main
 
 DFA_PARITY = """\
@@ -176,6 +178,38 @@ def test_compile_lt_decider(tmp_path, capsys):
     capsys.readouterr()
     assert main(["run", str(out), "--decider", "--input", "00100"]) == 0
     assert main(["run", str(out), "--decider", "--input", "00000"]) == 1
+
+
+def test_compile_slt_window3_table_matches_scanner(tmp_path, capsys):
+    text = (
+        "k: 3\nalphabet: 0 1\npi: 000 001 010 011\n"
+        "sigma: 000 001 010 011 100 101 110 111\nmu: 000 001 010 011 100 101 110\n"
+    )
+    scanner = parse_scanner(text, name="no111")
+    spec = tmp_path / "no111.scan"
+    spec.write_text(text)
+    out = tmp_path / "no111.tbl"
+    assert main(["compile", "slt", "--spec", str(spec), "--out", str(out)]) == 0
+    capsys.readouterr()
+    table = load_rule_table(out)
+    for n in range(1, 9):
+        for tup in itertools.product("01", repeat=n):
+            word = "".join(tup)
+            verdict = run_acceptor(table, word)
+            assert (verdict.kind == ACCEPT) == scanner_accepts(scanner, word), word
+
+
+def test_compile_lt_window2_state_count(tmp_path, capsys):
+    # Every binary window-2 expression walks the same profile schedule, so
+    # its table has the same states whatever the verdicts.
+    (tmp_path / "pair.scan").write_text(SCANNER_PAIR)
+    (tmp_path / "all0.scan").write_text(SCANNER_ALL0)
+    spec = tmp_path / "either.lt"
+    spec.write_text("let p = pair.scan\nlet z = all0.scan\n(or p z)\n")
+    out = tmp_path / "either.tbl"
+    assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == 0
+    assert "1498 states" in capsys.readouterr().out
+    assert len(load_rule_table(out).states) == 1498
 
 
 def test_semigroup_command(tmp_path, capsys):

@@ -63,12 +63,11 @@ SOMEONE_EXPR = lt_not(lt_scanner(ALL0))
 
 # Window 3 and up is where a short word (shorter than the window) has cells
 # that see neither border; at window 2 every cell of a short word is a
-# border cell.  The short pi and sigma words can never certify: a scanner
-# accepts no word shorter than its window.
+# border cell.
 NO111_FROM0 = Scanner(
     k=3, alphabet=BITS,
-    pi=frozenset({"000", "001", "010", "011", "0", "01"}),
-    sigma=frozenset({"".join(t) for t in itertools.product(BITS, repeat=3)} | {"1", "01"}),
+    pi=frozenset({"000", "001", "010", "011"}),
+    sigma=frozenset({"".join(t) for t in itertools.product(BITS, repeat=3)}),
     mu=frozenset({"".join(t) for t in itertools.product(BITS, repeat=3)}) - {"111"},
     name="no111-from0",
 )
@@ -100,6 +99,14 @@ def test_scanner_validation():
         Scanner(k=2, alphabet=BITS, pi=frozenset(), sigma=frozenset(), mu=frozenset({"0"}))
     with pytest.raises(ParameterError):
         Scanner(k=1, alphabet=BITS, pi=frozenset({"2"}), sigma=frozenset(), mu=frozenset())
+    # A scanner accepts no word shorter than k, so shorter pi and sigma words
+    # are refused like any other bad length.
+    with pytest.raises(ParameterError):
+        Scanner(k=2, alphabet=BITS, pi=frozenset({"0"}), sigma=frozenset(), mu=frozenset())
+    with pytest.raises(ParameterError):
+        Scanner(k=3, alphabet=BITS, pi=frozenset(), sigma=frozenset({"01"}), mu=frozenset())
+    with pytest.raises(ParameterError):
+        Scanner(k=1, alphabet=BITS, pi=frozenset({""}), sigma=frozenset(), mu=frozenset())
 
 
 def reference_scan(scanner, word):
@@ -424,6 +431,23 @@ def test_tabulate_round_trips_a_decider():
         want = run_decider(machine, w)
         got = run_decider(flat, w, max_steps=machine.time_bound + 1)
         assert (got.kind, got.steps) == (want.kind, want.steps), w
+
+
+@pytest.mark.parametrize(
+    "machine, gather",
+    [
+        (compile_lt_to_daca(SOMEONE_EXPR), 1),
+        (compile_lt_to_daca(TABLE_EXPR), 2),
+        (compile_slt_union_to_aca(WIDE_UNIONS[0]), 3),
+    ],
+    ids=["lt-window1", "lt-window2", "slt-window3"],
+)
+def test_tabulate_probe_of_window_plus_four_is_complete(machine, gather):
+    # A triple reads offsets -2..G+1 around its centre, so words of length
+    # G+4 already show every triple that longer probes find.
+    assert tabulate_by_observation(machine, gather + 4) == tabulate_by_observation(
+        machine, 2 * gather + 3
+    )
 
 
 def test_tabulate_errors():

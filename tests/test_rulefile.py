@@ -6,7 +6,9 @@ import pytest
 
 from acaw import (
     ACCEPT,
+    INACTIVE,
     REJECT,
+    AlphabetError,
     RuleFileError,
     TABLE_SOURCES,
     load_rule_table,
@@ -184,6 +186,20 @@ def test_save_refuses_machines_without_state_list():
     machine = zoo_automaton("bin")
     assert machine.states is None
     with pytest.raises(RuleFileError):
+        save_rule_table(machine)
+
+
+# INACTIVE would be written as '-> q'; "b" is not among the listed states.
+@pytest.mark.parametrize("output", [INACTIVE, "b"], ids=["inactive", "unlisted"])
+def test_save_refuses_tables_that_would_not_load(output):
+    machine = set_automaton(
+        name="leaky",
+        input_alphabet=["0"],
+        rule=lambda left, center, right: output if center == "0" else center,
+        accept_states=["a"],
+        states=["0", "a"],
+    )
+    with pytest.raises(AlphabetError):
         save_rule_table(machine)
 
 
