@@ -199,13 +199,15 @@ def configurations(
         yield tuple(objs[s] for s in config)
 
 
-def validate(automaton: Automaton) -> None:
-    """Exhaustively check an enumerated machine's static invariants.
+def validate(automaton: Automaton) -> dict:
+    """Exhaustively check an enumerated machine and return its rule's outputs.
 
-    Requires ``states``.  Verifies the alphabet is contained in the state
-    set, accept/reject sets are disjoint and non-empty where required, and
-    the rule is total and never deactivates a live cell (the border state is
-    handled by the engine, never by the rule).
+    Requires ``states``.  Checks that the alphabet lies in the state set,
+    that some listed state accepts, that a decider has a listed state that
+    rejects and none that does both, and that the rule maps every triple to
+    a listed state, never deactivating a live cell.  Returns
+    ``{(left, centre, right): output}`` in walk order: left, centre, right
+    nested, the flanks over the states and then :data:`INACTIVE`.
     """
     if automaton.states is None:
         raise ParameterError(f"{automaton.name}: state set is not enumerable")
@@ -221,8 +223,13 @@ def validate(automaton: Automaton) -> None:
     for s, sid in zip(states, ids):
         if runner.acc[sid] and runner.rej[sid]:
             raise AlphabetError(f"{automaton.name}: state {s!r} both accepts and rejects")
+    if not any(runner.acc[sid] for sid in ids):
+        raise AlphabetError(f"{automaton.name}: no listed state accepts")
+    if automaton.is_decider and not any(runner.rej[sid] for sid in ids):
+        raise AlphabetError(f"{automaton.name}: no listed state rejects")
     objs = runner.objs
     flanks = ids + [0]
+    outputs = {}
     for z1 in flanks:
         for z2 in ids:
             for z3 in flanks:
@@ -232,6 +239,8 @@ def validate(automaton: Automaton) -> None:
                         f"{automaton.name}: rule output {out!r} on "
                         f"({objs[z1]!r}, {objs[z2]!r}, {objs[z3]!r}) is not a state"
                     )
+                outputs[objs[z1], objs[z2], objs[z3]] = out
+    return outputs
 
 
 class _Runner:

@@ -347,7 +347,7 @@ def daca_complement(decider: Automaton) -> Automaton:
 
 
 class _UnionState(NamedTuple):
-    turn: int  # 0: the first machine just moved, 1: the second did
+    turn: int  # 0: the first machine just moved, 1: the second did, 2: step 1
     first: object
     second: object
 
@@ -362,7 +362,9 @@ class _UnionRule:
             return neighbor[idx] if isinstance(neighbor, _UnionState) else neighbor
 
         if not isinstance(center, _UnionState):
-            return _UnionState(0, self.rule_a(left, center, right), center)
+            return _UnionState(2, center, center)
+        if center.turn == 2:
+            return _UnionState(1, center.first, center.second)
         if center.turn == 0:
             return _UnionState(
                 1,
@@ -384,20 +386,18 @@ class _UnionFace:
     def __call__(self, state) -> bool:
         if not isinstance(state, _UnionState):
             return False
-        if state.turn == 0:
-            return self.accept_a(state.first)
-        return self.accept_b(state.second)
+        if state.turn == 1:
+            return self.accept_b(state.second)
+        return self.accept_a(state.first)
 
 
 def aca_union(a1: Automaton, a2: Automaton) -> Automaton:
     """Round-robin product acceptor for L(a1) | L(a2).
 
-    Odd steps advance the first machine and show its accept faces, even
-    steps the second, so an input accepted by either machine at time t is
-    accepted here by step 2t+... at most 2 max(t1, t2)+1.  A component that
-    is accepting already at step 0 must still be accepting at step 1 (true
-    of every acceptor built by this package, whose accepted configurations
-    persist or recur).
+    Step 1 shows the first machine's step-0 faces and step 2 the second's.
+    From then on odd steps advance the first machine and show its faces,
+    even steps the second, so a step-t acceptance of the first machine
+    shows at step 2t+1 and one of the second at 2t+2.
     """
     if a1.is_decider or a2.is_decider:
         raise ModeError("the union combinator takes acceptors")
@@ -407,7 +407,7 @@ def aca_union(a1: Automaton, a2: Automaton) -> Automaton:
         )
     bound = None
     if a1.time_bound is not None and a2.time_bound is not None:
-        bound = 2 * max(a1.time_bound, a2.time_bound) + 1
+        bound = 2 * max(a1.time_bound, a2.time_bound) + 2
     return Automaton(
         name=f"union-{a1.name}-{a2.name}",
         input_alphabet=a1.input_alphabet,

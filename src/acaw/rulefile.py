@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Container, Iterable, Iterator, Optional
 
-from .core import INACTIVE, AcawError, Automaton, _Inactive, validate
+from .core import INACTIVE, AcawError, Automaton, validate
 
 _RESERVED = {"q", "*", "->"}
 
@@ -37,32 +37,42 @@ class RuleFileError(AcawError):
 
 
 class _TableRule:
-    """First-match-wins pattern list; the engine's runner memoizes its calls."""
+    """First-match-wins rule rows, indexed once; the engine's runner memoizes calls.
 
-    __slots__ = ("patterns", "default_center", "name")
+    An exact row (no ``*``) is keyed by its triple unless an earlier row
+    matches that triple; wildcard rows keep file order.  A call tries the
+    key, then the first matching wildcard row, then the default.
+    """
 
-    def __init__(self, name: str, patterns: list, default_center: bool):
+    __slots__ = ("name", "exact", "wild", "default_center")
+
+    def __init__(self, name: str, rows: Iterable[tuple[tuple[str, str, str], str]],
+                 default_center: bool):
         self.name = name
-        self.patterns = patterns
         self.default_center = default_center
+        self.exact: dict[tuple[str, str, str], str] = {}
+        self.wild: list[tuple[tuple[str, str, str], str]] = []
+        for row in rows:
+            pattern, w = row
+            if "*" in pattern:
+                self.wild.append(row)
+            elif self._wild_match(*pattern) is None:
+                self.exact.setdefault(pattern, w)
 
-    def lookup(self, z1: str, z2: str, z3: str) -> Optional[str]:
-        """Match a triple (flanks given as tokens, 'q' for the border)."""
-        for x, y, z, w in self.patterns:
+    def _wild_match(self, z1: str, z2: str, z3: str) -> Optional[str]:
+        for (x, y, z), w in self.wild:
             if (x == "*" or x == z1) and (y == "*" or y == z2) and (z == "*" or z == z3):
                 return w
-        return z2 if self.default_center else None
+        return None
 
     def __call__(self, z1, z2, z3):
-        key = (
-            "q" if isinstance(z1, _Inactive) else z1,
-            z2,
-            "q" if isinstance(z3, _Inactive) else z3,
-        )
-        out = self.lookup(*key)
+        key = ("q" if z1 is INACTIVE else z1, z2, "q" if z3 is INACTIVE else z3)
+        out = self.exact.get(key)
         if out is None:
-            raise RuleFileError(f"{self.name}: no rule matches {key} and default is none")
-        return out
+            out = self._wild_match(*key)
+        if out is None and not self.default_center:
+            raise RuleFileError(f"{self.name}: no rule covers {key} and default is none")
+        return z2 if out is None else out
 
 
 def directive_lines(
@@ -95,14 +105,13 @@ def directive_lines(
 def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
     sections: dict[str, list[str]] = {}
     default: Optional[str] = None
-    patterns: list[tuple[str, str, str, str]] = []
+    rule_lines: list[tuple[str, tuple[str, str, str], str]] = []
 
     for where, key, tokens in directive_lines(text, name, repeatable=("rule",)):
         if key == "rule":
             if len(tokens) != 5 or tokens[3] != "->":
                 raise RuleFileError(f"{where}: malformed rule line")
-            x, y, z, _, w = tokens
-            patterns.append((x, y, z, w))
+            rule_lines.append((where, tuple(tokens[:3]), tokens[4]))
         elif key in ("alphabet", "states", "accept", "reject"):
             sections[key] = tokens
         elif key == "default":
@@ -144,47 +153,31 @@ def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
     if reject is not None and set(accept) & set(reject):
         raise RuleFileError(f"{name}: accept and reject sets overlap")
 
-    def rule_error(index: int, problem: str) -> RuleFileError:
-        # The rule lines' places are found again only for an error: keeping
-        # them beside the patterns spreads the patterns out in memory, and
-        # the first-match scan over a large table then ran 1.8x slower.
-        wheres = [where for where, key, _ in directive_lines(text, name, ("rule",))
-                  if key == "rule"]
-        return RuleFileError(f"{wheres[index]}: {problem}")
-
     flank_ok = state_set | {"q", "*"}
     centre_ok = state_set | {"*"}
-    for index, (x, y, z, w) in enumerate(patterns):
+    for where, (x, y, z), w in rule_lines:
         if x not in flank_ok or z not in flank_ok:
-            raise rule_error(index, f"bad flank in rule {x, y, z, w}")
+            raise RuleFileError(f"{where}: bad flank in rule {x, y, z, w}")
         if y == "q":
-            raise rule_error(index, "centre pattern may not be the border 'q'")
+            raise RuleFileError(f"{where}: centre pattern may not be the border 'q'")
         if y not in centre_ok:
-            raise rule_error(index, f"bad centre in rule {x, y, z, w}")
+            raise RuleFileError(f"{where}: bad centre in rule {x, y, z, w}")
         if w not in state_set:
-            raise rule_error(index, f"rule output {w!r} is not a state")
-
-    rule = _TableRule(name, patterns, default_center=(default == "center"))
-    if default == "none":
-        flanks = states + ["q"]
-        for z1 in flanks:
-            for z2 in states:
-                for z3 in flanks:
-                    if rule.lookup(z1, z2, z3) is None:
-                        raise RuleFileError(
-                            f"{name}: no rule covers ({z1} {z2} {z3}) and default is none"
-                        )
+            raise RuleFileError(f"{where}: rule output {w!r} is not a state")
 
     accept_set = frozenset(accept)
     reject_set = frozenset(reject) if reject is not None else None
-    return Automaton(
+    automaton = Automaton(
         name=name,
         input_alphabet=tuple(alphabet),
-        rule=rule,
+        rule=_TableRule(name, (line[1:] for line in rule_lines), default == "center"),
         accepting=accept_set.__contains__,
         rejecting=reject_set.__contains__ if reject_set is not None else None,
         states=tuple(states),
     )
+    if default == "none":
+        validate(automaton)  # the rule raises on the first triple no row covers
+    return automaton
 
 
 def load_rule_table(path) -> Automaton:
@@ -225,35 +218,27 @@ def serialize_rules(
 
 
 def save_rule_table(automaton: Automaton) -> str:
-    """Render an enumerated machine to the file format (full-domain walk).
+    """Render an enumerated machine to the file format.
 
-    The machine is validated first, so a table this writes always loads.
+    The rows are the outputs that :func:`~acaw.core.validate` walks, so a
+    table this writes always loads.
     """
     if automaton.states is None:
         raise RuleFileError(
             f"{automaton.name}: machine generates states on the fly and has no"
             " flat table form"
         )
-    validate(automaton)
+    outputs = validate(automaton)
     states = [str(s) for s in automaton.states]
     if len(set(states)) != len(states):
         raise RuleFileError(f"{automaton.name}: state names collide when rendered")
-    by_name = dict(zip(states, automaton.states))
-    flanks = states + ["q"]
-    triples = []
-    for z1 in flanks:
-        for z2 in states:
-            for z3 in flanks:
-                out = automaton.rule(
-                    INACTIVE if z1 == "q" else by_name[z1],
-                    by_name[z2],
-                    INACTIVE if z3 == "q" else by_name[z3],
-                )
-                triples.append((z1, z2, z3, str(out)))
-    accept = [s for s in states if automaton.accepting(by_name[s])]
+    triples = [
+        (str(z1), str(z2), str(z3), str(out)) for (z1, z2, z3), out in outputs.items()
+    ]
+    accept = [n for n, s in zip(states, automaton.states) if automaton.accepting(s)]
     reject = None
     if automaton.rejecting is not None:
-        reject = [s for s in states if automaton.rejecting(by_name[s])]
+        reject = [n for n, s in zip(states, automaton.states) if automaton.rejecting(s)]
     return serialize_rules(
         automaton.name, automaton.input_alphabet, states, accept, reject, triples
     )

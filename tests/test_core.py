@@ -305,13 +305,28 @@ def rule_tables(draw):
         lines.append("reject: " + " ".join(reject))
     lines += [f"rule: {x} {y} {z} -> {w}" for x, y, z, w in rows]
     lines.append(f"default: {default}")
-    return parse_rule_table("\n".join(lines) + "\n", name="random"), states
+    machine = parse_rule_table("\n".join(lines) + "\n", name="random")
+    return machine, states, rows, default
+
+
+def reference_rule(rows, default, triple):
+    """The first row matching ``triple`` (the border as 'q'), else the default."""
+    for row in rows:
+        if all(p in ("*", t) for p, t in zip(row, triple)):
+            return row[3]
+    return triple[1] if default == "center" else None
 
 
 @given(st.data())
 @settings(max_examples=200)
 def test_engine_matches_reference_stepper(data):
-    machine, states = data.draw(rule_tables())
+    machine, states, rows, default = data.draw(rule_tables())
+    flanks = [(s, s) for s in states] + [(INACTIVE, "q")]
+    for left, x in flanks:
+        for centre in states:
+            for right, z in flanks:
+                want = reference_rule(rows, default, (x, centre, z))
+                assert machine.rule(left, centre, right) == want, (x, centre, z)
     word = data.draw(st.text(alphabet="".join(machine.input_alphabet), min_size=1, max_size=8))
     max_steps = data.draw(st.none() | st.integers(0, 30))
     budget = default_max_steps(len(word)) if max_steps is None else max_steps

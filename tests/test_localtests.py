@@ -279,10 +279,37 @@ def test_aca_union_of_zoo_machines():
     for w in words("01", 7):
         member = w == "01" * (len(w) // 2) or set(w) == {"0"}
         assert (run_acceptor(union, w).kind == ACCEPT) == member, w
-    # first component's step-1 verdict lands at global step 1, the
-    # second component's step-0 persistence shows at global step 2
-    assert run_acceptor(union, "0101").steps == 1
+    # a step-t acceptance shows at 2t+1 for the first component and at
+    # 2t+2 for the second: pair01 accepts 0101 at step 1, zeros 0000 at 0
+    assert run_acceptor(union, "0101").steps == 3
     assert run_acceptor(union, "0000").steps == 2
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["table-first", "pair01-first"])
+def test_aca_union_keeps_step0_acceptance(flip):
+    """A component that accepts only at step 0 still wins the union."""
+    only_step0 = parse_rule_table(
+        "alphabet: 0 1\nstates: 0 1\naccept: 0\nrule: * * * -> 1\ndefault: center\n",
+        name="only-step0",
+    )
+    assert run_acceptor(only_step0, "000").steps == 0
+    parts = [only_step0, zoo_automaton("pair01")]
+    union = aca_union(*(parts[::-1] if flip else parts))
+    assert run_acceptor(union, "000").steps == (2 if flip else 1)
+    assert run_acceptor(union, "010").kind == TIMEOUT
+
+
+def test_aca_union_interleaves_component_steps():
+    """A step-t acceptance shows at 2t+1 (first) or 2t+2 (second), within the bound."""
+    first, second = compile_slt_union_to_aca([PAIR01]), compile_slt_union_to_aca([ALL0])
+    union = aca_union(first, second)
+    assert union.time_bound == 2 * max(first.time_bound, second.time_bound) + 2
+    for w in words("01", 7):
+        shown = [2 * v.steps + 1 + i for i, v in enumerate(
+            (run_acceptor(first, w), run_acceptor(second, w))) if v.kind == ACCEPT]
+        verdict = run_acceptor(union, w)
+        assert verdict.steps == (min(shown) if shown else None), w
+        assert not shown or verdict.steps <= union.time_bound
 
 
 def test_aca_union_mode_and_alphabet_errors():

@@ -9,8 +9,10 @@ from acaw import (
     INACTIVE,
     REJECT,
     AlphabetError,
+    Automaton,
     RuleFileError,
     TABLE_SOURCES,
+    global_step,
     load_rule_table,
     parse_dfa,
     parse_rule_table,
@@ -19,7 +21,6 @@ from acaw import (
     run_decider,
     save_rule_table,
     serialize_rules,
-    set_automaton,
     validate,
     zoo_automaton,
 )
@@ -42,20 +43,21 @@ def test_parse_minimal_table():
 
 
 def test_first_match_wins():
-    text = """\
-alphabet: 0 1
-states: 0 1 a b
-accept: a
-rule: * 1 * -> a
-rule: 0 1 0 -> b
-default: center
-"""
-    a = parse_rule_table(text)
-    # the earlier wildcard rule shadows the later specific one
-    config = ("0", "1", "0")
-    from acaw import global_step
-
-    assert global_step(a, config)[1] == "a"
+    cases = [
+        # an earlier wildcard row shadows a later exact one
+        (["* 1 * -> a", "0 1 0 -> b"], "a"),
+        # of two exact rows for one triple, the earlier wins
+        (["0 1 0 -> b", "0 1 0 -> a"], "b"),
+        # an exact row wins over a later wildcard row that matches it
+        (["0 1 0 -> b", "* 1 * -> a"], "b"),
+        # an exact row after a matching wildcard row loses to it, even
+        # when a later wildcard row agrees with the exact one
+        (["0 * 0 -> a", "0 1 0 -> b", "* 1 * -> b"], "a"),
+    ]
+    for rows, out in cases:
+        text = "alphabet: 0 1\nstates: 0 1 a b\naccept: a\n"
+        text += "".join(f"rule: {row}\n" for row in rows) + "default: center\n"
+        assert global_step(parse_rule_table(text), ("0", "1", "0"))[1] == out, rows
 
 
 def test_star_flank_matches_border_and_states():
@@ -182,6 +184,14 @@ def test_save_round_trips_zoo_tables():
                 assert (a.kind, a.steps) == (b.kind, b.steps), (name, tup)
 
 
+@pytest.mark.parametrize("name", sorted(TABLE_SOURCES))
+def test_save_output_is_pinned(name):
+    """``save_rule_table`` writes each zoo table byte for byte as pinned."""
+    saved = Path(__file__).resolve().parent / "data" / "saved" / f"{name}.tbl"
+    machine = parse_rule_table(TABLE_SOURCES[name], name=name)
+    assert save_rule_table(machine) == saved.read_text()
+
+
 def test_save_refuses_machines_without_state_list():
     machine = zoo_automaton("bin")
     assert machine.states is None
@@ -189,15 +199,21 @@ def test_save_refuses_machines_without_state_list():
         save_rule_table(machine)
 
 
-# INACTIVE would be written as '-> q'; "b" is not among the listed states.
-@pytest.mark.parametrize("output", [INACTIVE, "b"], ids=["inactive", "unlisted"])
-def test_save_refuses_tables_that_would_not_load(output):
-    machine = set_automaton(
+# INACTIVE would be written as '-> q'; "b" is not among the listed states;
+# a table whose accept: or reject: line would come out empty does not load.
+@pytest.mark.parametrize(
+    "output, accept, reject",
+    [(INACTIVE, ["a"], None), ("b", ["a"], None), ("a", [], None), ("a", ["a"], [])],
+    ids=["inactive", "unlisted", "never-accepts", "never-rejects"],
+)
+def test_save_refuses_tables_that_would_not_load(output, accept, reject):
+    machine = Automaton(
         name="leaky",
-        input_alphabet=["0"],
+        input_alphabet=("0",),
         rule=lambda left, center, right: output if center == "0" else center,
-        accept_states=["a"],
-        states=["0", "a"],
+        accepting=set(accept).__contains__,
+        rejecting=None if reject is None else set(reject).__contains__,
+        states=("0", "a"),
     )
     with pytest.raises(AlphabetError):
         save_rule_table(machine)
