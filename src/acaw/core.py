@@ -11,6 +11,7 @@ accepting or uniformly rejecting configuration fixes the verdict.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -168,8 +169,7 @@ def initial_configuration(automaton: Automaton, word: Iterable[str]) -> tuple:
 def global_step(automaton: Automaton, config: tuple) -> tuple:
     """Apply the local rule once to every active cell."""
     runner = _runner_for(automaton)
-    objs = runner.objs
-    return tuple(objs[s] for s in runner.step([runner.intern(s) for s in config]))
+    return tuple(map(runner.objs.__getitem__, runner.step(tuple(map(runner.intern, config)))))
 
 
 def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
@@ -181,7 +181,7 @@ def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
     for non-empty windows.
     """
     runner = _runner_for(automaton)
-    return runner.finality([runner.intern(s) for s in config], automaton.is_decider)
+    return runner.finality(tuple(map(runner.intern, config)), automaton.is_decider)
 
 
 def configurations(
@@ -194,20 +194,20 @@ def configurations(
     deterministic repeat can never reach a configuration not already seen.
     """
     runner, config, max_steps = _start(automaton, word, max_steps)
-    objs = runner.objs
     for config in _evolve(runner, config, max_steps):
-        yield tuple(objs[s] for s in config)
+        yield tuple(map(runner.objs.__getitem__, config))
 
 
-def validate(automaton: Automaton) -> dict:
+def validate(automaton: Automaton) -> Iterator[tuple[tuple, Any]]:
     """Exhaustively check an enumerated machine and return its rule's outputs.
 
     Requires ``states``.  Checks that the alphabet lies in the state set,
     that some listed state accepts, that a decider has a listed state that
     rejects and none that does both, and that the rule maps every triple to
-    a listed state, never deactivating a live cell.  Returns
-    ``{(left, centre, right): output}`` in walk order: left, centre, right
-    nested, the flanks over the states and then :data:`INACTIVE`.
+    a listed state, never deactivating a live cell.  Returns an iterator of
+    ``((left, centre, right), output)`` in walk order: left, centre, right
+    nested, the flanks over the states and then :data:`INACTIVE`.  The walk
+    calls the rule once per triple and memoizes none of it.
     """
     if automaton.states is None:
         raise ParameterError(f"{automaton.name}: state set is not enumerable")
@@ -227,28 +227,27 @@ def validate(automaton: Automaton) -> dict:
         raise AlphabetError(f"{automaton.name}: no listed state accepts")
     if automaton.is_decider and not any(runner.rej[sid] for sid in ids):
         raise AlphabetError(f"{automaton.name}: no listed state rejects")
-    objs = runner.objs
-    flanks = ids + [0]
-    outputs = {}
-    for z1 in flanks:
-        for z2 in ids:
-            for z3 in flanks:
-                out = objs[runner._miss((z1, z2, z3))]
-                if out not in state_set:
-                    raise AlphabetError(
-                        f"{automaton.name}: rule output {out!r} on "
-                        f"({objs[z1]!r}, {objs[z2]!r}, {objs[z3]!r}) is not a state"
-                    )
-                outputs[objs[z1], objs[z2], objs[z3]] = out
-    return outputs
+    flanks = states + (INACTIVE,)
+    outputs = runner.outputs(itertools.product(flanks, states, flanks))
+    pairs = zip(itertools.product(flanks, states, flanks), outputs)
+    if not state_set.issuperset(outputs):
+        (z1, z2, z3), out = next(pair for pair in pairs if pair[1] not in state_set)
+        raise AlphabetError(
+            f"{automaton.name}: rule output {out!r} on ({z1!r}, {z2!r}, {z3!r})"
+            " is not a state"
+        )
+    return pairs
 
 
 class _Runner:
     """Per-machine cache: states interned to ints, the rule memoized on triples.
 
-    The only caller of a machine's rule (``_miss``) and faces (``intern``).
-    It keeps those callables rather than the machine, so that the machine,
-    the weak key of ``_RUNNERS``, can be freed.
+    Configurations are tuples of state ids.  A step looks up every cell's
+    (left, centre, right) triple in one C-level ``map`` over ``table.get``
+    and runs a Python miss pass only when some lookup missed.  The only
+    caller of a machine's rule (``_miss`` and ``outputs``) and faces
+    (``intern``).  It keeps those callables rather than the machine, so that
+    the machine, the weak key of ``_RUNNERS``, can be freed.
     """
 
     def __init__(self, automaton: Automaton):
@@ -272,39 +271,38 @@ class _Runner:
             self.rej.append(bool(self.rejecting(state)) if self.rejecting else False)
         return sid
 
-    def step(self, config: list) -> list:
-        table = self.table
-        n = len(config)
-        out = [0] * n
-        left = 0
-        for i in range(n):
-            centre = config[i]
-            right = config[i + 1] if i + 1 < n else 0
-            key = (left, centre, right)
-            new = table.get(key)
-            if new is None:
-                new = self._miss(key)
-            out[i] = new
-            left = centre
+    def step(self, config: tuple) -> tuple:
+        left, right = (0, *config), (*config[1:], 0)
+        out = tuple(map(self.table.get, zip(left, config, right)))
+        if None in out:
+            out = tuple(
+                self._miss(key) if new is None else new
+                for new, key in zip(out, zip(left, config, right))
+            )
         return out
 
     def _miss(self, key: tuple) -> int:
-        z1, z2, z3 = key
-        res = self.rule(self.objs[z1], self.objs[z2], self.objs[z3])
-        if isinstance(res, _Inactive):
-            raise AlphabetError(f"{self.name}: rule drove an active cell inactive")
-        rid = self.intern(res)
-        self.table[key] = rid
+        # Two cells of one step can share a triple that missed; the first
+        # one's call fills the memo for the second.
+        rid = self.table.get(key)
+        if rid is None:
+            z1, z2, z3 = key
+            res = self.rule(self.objs[z1], self.objs[z2], self.objs[z3])
+            if isinstance(res, _Inactive):
+                raise AlphabetError(f"{self.name}: rule drove an active cell inactive")
+            rid = self.intern(res)
+            self.table[key] = rid
         return rid
 
-    def finality(self, config: list, want_reject: bool) -> Optional[str]:
-        acc = self.acc
-        if all(acc[s] for s in config):
+    def outputs(self, triples: Iterable[tuple]) -> list:
+        """The rule on each triple of states, memoizing none (``validate``'s walk)."""
+        return list(itertools.starmap(self.rule, triples))
+
+    def finality(self, config: tuple, want_reject: bool) -> Optional[str]:
+        if all(map(self.acc.__getitem__, config)):
             return ACCEPT
-        if want_reject:
-            rej = self.rej
-            if all(rej[s] for s in config):
-                return REJECT
+        if want_reject and all(map(self.rej.__getitem__, config)):
+            return REJECT
         return None
 
 
@@ -321,7 +319,7 @@ def _runner_for(automaton: Automaton) -> _Runner:
 
 def _start(
     automaton: Automaton, word: Iterable[str], max_steps: Optional[int]
-) -> tuple[_Runner, list, int]:
+) -> tuple[_Runner, tuple, int]:
     """The machine's runner, the interned step-0 configuration and the budget."""
     symbols = initial_configuration(automaton, word)
     if not symbols:
@@ -331,32 +329,29 @@ def _start(
         if automaton.time_bound is not None:
             max_steps = max(max_steps, automaton.time_bound + 1)
     runner = _runner_for(automaton)
-    return runner, [runner.intern(s) for s in symbols], max_steps
+    return runner, tuple(map(runner.intern, symbols)), max_steps
 
 
-def _evolve(runner: _Runner, config: list, max_steps: int) -> Iterator[list]:
+def _evolve(runner: _Runner, config: tuple, max_steps: int) -> Iterator[tuple]:
     """Yield ``config``, then one configuration per step for ``max_steps`` steps.
 
-    Stops early, before a configuration that repeats one of the last
-    ``_CYCLE_WINDOW``: the evolution is deterministic, so a repeat can never
-    lead anywhere new.
+    The engine's only stepping loop and its one cycle check.  Configurations
+    are tuples of state ids, so each one is its own cycle key.  Stops early,
+    before a configuration that repeats one of the last ``_CYCLE_WINDOW``:
+    the evolution is deterministic, so a repeat can never lead anywhere new.
     """
     yield config
-    recent: deque = deque(maxlen=_CYCLE_WINDOW)
-    seen = set()
-    key = tuple(config)
-    recent.append(key)
-    seen.add(key)
+    recent: deque = deque((config,))
+    seen = {config}
     for _ in range(max_steps):
         config = runner.step(config)
-        key = tuple(config)
-        if key in seen:
+        if config in seen:
             return
         yield config
         if len(recent) == _CYCLE_WINDOW:
             seen.discard(recent.popleft())
-        recent.append(key)
-        seen.add(key)
+        recent.append(config)
+        seen.add(config)
 
 
 def _run(
@@ -367,11 +362,10 @@ def _run(
     want_reject: bool,
 ) -> Verdict:
     runner, config, max_steps = _start(automaton, word, max_steps)
-    objs = runner.objs
     raw_configs = []
     for steps, config in enumerate(_evolve(runner, config, max_steps)):
         if collect_trace:
-            raw_configs.append(tuple(objs[s] for s in config))
+            raw_configs.append(tuple(map(runner.objs.__getitem__, config)))
         outcome = runner.finality(config, want_reject)
         if outcome is not None:
             break

@@ -614,6 +614,11 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
     """
     if probe_len < 1:
         raise ParameterError("probe length must be >= 1")
+    if automaton.time_bound is not None and automaton.time_bound > _TABULATE_STEP_CEILING:
+        raise ParameterError(
+            f"{automaton.name}: time bound {automaton.time_bound} exceeds the "
+            f"{_TABULATE_STEP_CEILING}-step tabulation ceiling; not tabulatable"
+        )
     alphabet = tuple(automaton.input_alphabet)
     order: dict = {}
     triples: dict = {}

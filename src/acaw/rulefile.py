@@ -41,7 +41,9 @@ class _TableRule:
 
     An exact row (no ``*``) is keyed by its triple unless an earlier row
     matches that triple; wildcard rows keep file order.  A call tries the
-    key, then the first matching wildcard row, then the default.
+    key, then the first matching wildcard row, then the default.  Rows hold
+    :data:`INACTIVE` where the file says ``q``, so a call matches the
+    engine's flanks as they come.
     """
 
     __slots__ = ("name", "exact", "wild", "default_center")
@@ -50,28 +52,29 @@ class _TableRule:
                  default_center: bool):
         self.name = name
         self.default_center = default_center
-        self.exact: dict[tuple[str, str, str], str] = {}
-        self.wild: list[tuple[tuple[str, str, str], str]] = []
-        for row in rows:
-            pattern, w = row
+        self.exact: dict[tuple, str] = {}
+        self.wild: list[tuple[tuple, str]] = []
+        for (x, y, z), w in rows:
+            pattern = (INACTIVE if x == "q" else x, y, INACTIVE if z == "q" else z)
             if "*" in pattern:
-                self.wild.append(row)
+                self.wild.append((pattern, w))
             elif self._wild_match(*pattern) is None:
                 self.exact.setdefault(pattern, w)
 
-    def _wild_match(self, z1: str, z2: str, z3: str) -> Optional[str]:
+    def _wild_match(self, z1, z2, z3) -> Optional[str]:
         for (x, y, z), w in self.wild:
             if (x == "*" or x == z1) and (y == "*" or y == z2) and (z == "*" or z == z3):
                 return w
         return None
 
     def __call__(self, z1, z2, z3):
-        key = ("q" if z1 is INACTIVE else z1, z2, "q" if z3 is INACTIVE else z3)
-        out = self.exact.get(key)
+        out = self.exact.get((z1, z2, z3))
         if out is None:
-            out = self._wild_match(*key)
+            out = self._wild_match(z1, z2, z3)
         if out is None and not self.default_center:
-            raise RuleFileError(f"{self.name}: no rule covers {key} and default is none")
+            raise RuleFileError(
+                f"{self.name}: no rule covers ({z1} {z2} {z3}) and default is none"
+            )
         return z2 if out is None else out
 
 
@@ -232,9 +235,7 @@ def save_rule_table(automaton: Automaton) -> str:
     states = [str(s) for s in automaton.states]
     if len(set(states)) != len(states):
         raise RuleFileError(f"{automaton.name}: state names collide when rendered")
-    triples = [
-        (str(z1), str(z2), str(z3), str(out)) for (z1, z2, z3), out in outputs.items()
-    ]
+    triples = [(str(z1), str(z2), str(z3), str(out)) for (z1, z2, z3), out in outputs]
     accept = [n for n, s in zip(states, automaton.states) if automaton.accepting(s)]
     reject = None
     if automaton.rejecting is not None:

@@ -1,5 +1,6 @@
 """Engine semantics: stepping, verdicts, budgets, validation."""
 
+import itertools
 import weakref
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from acaw import (
     ACCEPT,
+    FAMILIES,
     INACTIVE,
     REJECT,
     TIMEOUT,
@@ -276,6 +278,16 @@ def reference_evolution(automaton, word, max_steps):
     return history
 
 
+def reference_run(automaton, word, max_steps):
+    """(kind, steps, trace) of a run, from the reference evolution."""
+    history = reference_evolution(automaton, word, max_steps)
+    for t, config in enumerate(history):
+        outcome = reference_classify(automaton, config)
+        if outcome is not None:
+            return outcome, t, tuple(history[: t + 1])
+    return TIMEOUT, None, tuple(history)
+
+
 @st.composite
 def rule_tables(draw):
     """A random rule table with wildcards, as an acceptor or a decider."""
@@ -333,21 +345,31 @@ def test_engine_matches_reference_stepper(data):
     history = reference_evolution(machine, word, budget)
 
     assert list(configurations(machine, word, max_steps)) == history
-    outcomes = [reference_classify(machine, config) for config in history]
-    assert [classify(machine, config) for config in history] == outcomes
     for config in history:
+        assert classify(machine, config) == reference_classify(machine, config)
         assert global_step(machine, config) == reference_step(machine, config)
 
     run = run_decider if machine.is_decider else run_acceptor
     verdict = run(machine, word, max_steps, collect_trace=True)
-    final = [t for t, outcome in enumerate(outcomes) if outcome is not None]
-    if final:
-        t = final[0]
-        expected = (outcomes[t], t, tuple(history[: t + 1]))
-    else:
-        expected = (TIMEOUT, None, tuple(history))
+    expected = reference_run(machine, word, budget)
     assert (verdict.kind, verdict.steps, verdict.trace.configurations) == expected
 
     config = tuple(data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=6)))
     assert global_step(machine, config) == reference_step(machine, config)
     assert classify(machine, config) == reference_classify(machine, config)
+
+
+@pytest.mark.parametrize("family, role", [("idmat", "acceptor"), ("idmat", "decider"),
+                                          ("bin", "acceptor")])
+def test_engine_matches_reference_stepper_on_block_machines(family, role):
+    """Long configurations of generated states mix memo hits and misses at
+    every position of a step, unlike the small random tables above."""
+    family = FAMILIES[family]
+    machine = getattr(family, role)()
+    run = run_decider if machine.is_decider else run_acceptor
+    words = [w for n in range(1, 6) for w in itertools.product(family.alphabet, repeat=n)]
+    words += [tuple(family.generate(k)) for k in range(1, 5)]
+    for word in words:
+        verdict = run(machine, word, collect_trace=True)
+        expected = reference_run(machine, word, default_max_steps(len(word)))
+        assert (verdict.kind, verdict.steps, verdict.trace.configurations) == expected, word

@@ -10,6 +10,7 @@ from acaw import (
     REJECT,
     TIMEOUT,
     AlphabetError,
+    Automaton,
     EmptyInputError,
     LTExpression,
     ModeError,
@@ -40,6 +41,7 @@ from acaw import (
     zoo_automaton,
 )
 from acaw.core import set_automaton
+from acaw.localtests import _TABULATE_STEP_CEILING
 
 BITS = ("0", "1")
 PAIR01 = Scanner(
@@ -492,3 +494,23 @@ def test_tabulate_errors():
     )
     with pytest.raises(ParameterError):
         tabulate_by_observation(blinker, probe_len=3)
+
+
+def test_tabulate_refuses_time_bound_over_ceiling_before_simulating():
+    calls = []
+
+    def rule(left, center, right):
+        calls.append(center)
+        return center
+
+    ceiling = _TABULATE_STEP_CEILING
+    machine = Automaton(
+        name="slow",
+        input_alphabet=BITS,
+        rule=rule,
+        accepting="1".__eq__,
+        time_bound=ceiling + 1,
+    )
+    with pytest.raises(ParameterError, match=f"{ceiling + 1}.*{ceiling}"):
+        tabulate_by_observation(machine, probe_len=3)
+    assert calls == []

@@ -1,5 +1,6 @@
 """Rule-table file format: parsing, matching order, serialization."""
 
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,24 @@ default: none
 """
     with pytest.raises(RuleFileError):
         parse_rule_table(text)
+
+
+def test_default_none_coverage_check_memoizes_nothing():
+    """60 states make 219,600 triples; memoizing them all, with a dict of
+    their outputs, once peaked near 50 MB."""
+    states = [f"s{i}" for i in range(60)]
+    text = (
+        "alphabet: s0\nstates: " + " ".join(states)
+        + "\naccept: s0\nrule: * * * -> s0\ndefault: none\n"
+    )
+    tracemalloc.start()
+    try:
+        machine = parse_rule_table(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert run_acceptor(machine, ["s0"] * 3).steps == 0
 
 
 def test_comment_and_blank_lines_ignored():
