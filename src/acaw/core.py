@@ -272,13 +272,14 @@ class _Runner:
         return sid
 
     def step(self, config: tuple) -> tuple:
-        left, right = (0, *config), (*config[1:], 0)
+        left, right = (0,) + config, config[1:] + (0,)
         out = tuple(map(self.table.get, zip(left, config, right)))
         if None in out:
-            out = tuple(
-                self._miss(key) if new is None else new
-                for new, key in zip(out, zip(left, config, right))
-            )
+            out = list(out)
+            for i, new in enumerate(out):
+                if new is None:
+                    out[i] = self._miss((left[i], config[i], right[i]))
+            out = tuple(out)
         return out
 
     def _miss(self, key: tuple) -> int:
