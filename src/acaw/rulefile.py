@@ -54,8 +54,10 @@ class _TableRule:
         self.default_center = default_center
         self.exact: dict[tuple, str] = {}
         self.wild: list[tuple[tuple, str]] = []
-        for (x, y, z), w in rows:
-            pattern = (INACTIVE if x == "q" else x, y, INACTIVE if z == "q" else z)
+        for pattern, w in rows:
+            if "q" in pattern:
+                x, y, z = pattern
+                pattern = (INACTIVE if x == "q" else x, y, INACTIVE if z == "q" else z)
             if "*" in pattern:
                 self.wild.append((pattern, w))
             elif self._wild_match(*pattern) is None:
