@@ -54,10 +54,8 @@ class _TableRule:
         self.default_center = default_center
         self.exact: dict[tuple, str] = {}
         self.wild: list[tuple[tuple, str]] = []
-        for pattern, w in rows:
-            if "q" in pattern:
-                x, y, z = pattern
-                pattern = (INACTIVE if x == "q" else x, y, INACTIVE if z == "q" else z)
+        for (x, y, z), w in rows:
+            pattern = (INACTIVE if x == "q" else x, y, INACTIVE if z == "q" else z)
             if "*" in pattern:
                 self.wild.append((pattern, w))
             elif self._wild_match(*pattern) is None:
@@ -74,9 +72,7 @@ class _TableRule:
         if out is None:
             out = self._wild_match(z1, z2, z3)
         if out is None and not self.default_center:
-            raise RuleFileError(
-                f"{self.name}: no rule covers ({z1} {z2} {z3}) and default is none"
-            )
+            raise RuleFileError(f"{self.name}: no rule covers {(z1, z2, z3)} and default is none")
         return z2 if out is None else out
 
 
