@@ -100,7 +100,7 @@ default: none
 
 
 def test_default_none_coverage_check_memoizes_nothing():
-    """60 states make 219,600 triples; memoizing them all, with a dict of
+    """60 states make 223,260 triples; memoizing them all, with a dict of
     their outputs, once peaked near 50 MB."""
     states = [f"s{i}" for i in range(60)]
     text = (
