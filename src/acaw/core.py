@@ -12,6 +12,7 @@ accepting or uniformly rejecting configuration fixes the verdict.
 from __future__ import annotations
 
 import itertools
+import operator
 import weakref
 from collections import deque
 from dataclasses import dataclass
@@ -237,6 +238,63 @@ def validate(automaton: Automaton) -> Iterator[tuple[tuple, Any]]:
             " is not a state"
         )
     return pairs
+
+
+def observe(
+    automaton: Automaton, words: Iterable[Iterable[str]], max_steps: int
+) -> tuple[list, list[tuple]]:
+    """Run every word to its fixed point and report the triples it used.
+
+    Returns the states in first-seen order (the alphabet first, then word by
+    word in the given order and step by step, cells left to right) and the
+    rows ``(left, centre, right, output)`` as positions into that list, with
+    ``None`` for the border.  Each (left, centre, right) seen while any word
+    evolves gives one row, in no particular order.
+
+    The words of one length step together, as one configuration with a
+    border cell between neighbours.  The border never changes, so each word
+    evolves as it would alone.  Raises :class:`ParameterError` when some word
+    does not reach a fixed point within ``max_steps`` steps.
+    """
+    runner = _runner_for(automaton)
+    groups: dict[int, list] = {}  # length -> the words' cells, borders between
+    placed = []  # per word: its length and its first cell in that group
+    for word in words:
+        ids = tuple(map(runner.intern, initial_configuration(automaton, word)))
+        if not ids:
+            raise EmptyInputError(f"{automaton.name}: no run on the empty word")
+        cells = groups.setdefault(len(ids), [])
+        placed.append((len(ids), len(cells)))
+        cells.extend(ids + (0,))
+    histories = {}
+    triples: set = set()
+    for length, cells in groups.items():
+        history = []
+        for config in _evolve(runner, tuple(cells[:-1]), max_steps):
+            # Before the next step, memoize each border cell between words
+            # as staying the border, so the rule never sees a border centre.
+            ends, starts = config[length - 1 :: length + 1], config[length + 1 :: length + 1]
+            runner.table.update(dict.fromkeys(zip(ends, itertools.repeat(0), starts), 0))
+            history.append(config)
+        last = history[-1]
+        if len(history) > max_steps or runner.step(last) != last:
+            raise ParameterError(
+                f"{automaton.name}: no fixed point within {max_steps} steps;"
+                " not tabulatable"
+            )
+        for config in history:
+            triples.update(zip((0,) + config, config, config[1:] + (0,)))
+        histories[length] = history
+    order = dict.fromkeys(map(runner.intern, automaton.input_alphabet))
+    for length, start in placed:
+        cut = operator.itemgetter(slice(start, start + length))
+        order.update(dict.fromkeys(itertools.chain.from_iterable(map(cut, histories[length]))))
+    del histories  # the stored configurations are the largest thing held
+    position = {sid: i for i, sid in enumerate(order)}  # get() gives the border None
+    keys = list(filter(operator.itemgetter(1), triples))  # drop border centres
+    outputs = map(runner.table.__getitem__, keys)
+    rows = list(zip(*[map(position.get, column) for column in (*zip(*keys), outputs)]))
+    return list(map(runner.objs.__getitem__, order)), rows
 
 
 class _Runner:

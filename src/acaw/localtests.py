@@ -35,8 +35,8 @@ from .core import (
     EmptyInputError,
     ModeError,
     ParameterError,
-    global_step,
-    initial_configuration,
+    global_step,  # unused here; benchmarks/tracing.py wraps this module attribute
+    observe,
 )
 from .rulefile import RuleFileError, directive_lines, serialize_rules
 from .words import profile
@@ -222,7 +222,9 @@ class _WindowRule:
         if center.phase < self.gather:
             rsym = right.ahead[-1] if isinstance(right, WState) else "q"
             return WState(center.phase + 1, center.at_left, center.ahead + (rsym,))
-        return center._replace(phase=min(center.phase + 1, self.cap))
+        # Built directly: ``_replace`` costs about three times as much, and
+        # tabulation calls this once per new triple.
+        return WState(min(center.phase + 1, self.cap), center.at_left, center.ahead)
 
 
 def _certificate(k: int, pi, mu, sigma, state: WState) -> bool:
@@ -611,6 +613,10 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
     words up to length G+4.  The probe length is the caller's promise of
     that bound; the emitted table replays the machine exactly, with
     unreachable triples defaulting to the centre.
+
+    :func:`acaw.core.observe` runs the probes; this names its states by
+    position (input symbols by themselves, the rest ``s0, s1, ...`` in
+    first-seen order) and writes its rows sorted by name.
     """
     if probe_len < 1:
         raise ParameterError("probe length must be >= 1")
@@ -620,54 +626,21 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
             f"{_TABULATE_STEP_CEILING}-step tabulation ceiling; not tabulatable"
         )
     alphabet = tuple(automaton.input_alphabet)
-    order: dict = {}
-    triples: dict = {}
-
-    def see(state) -> None:
-        if state not in order:
-            order[state] = len(order)
-
-    for sym in alphabet:
-        see(sym)
-    for length in range(1, probe_len + 1):
-        for tup in itertools.product(alphabet, repeat=length):
-            config = initial_configuration(automaton, tup)
-            for state in config:
-                see(state)
-            for _ in range(_TABULATE_STEP_CEILING):
-                nxt = global_step(automaton, config)
-                padded = (None,) + config + (None,)
-                for i, out in enumerate(nxt):
-                    see(out)
-                    triples[(padded[i], config[i], padded[i + 2])] = out
-                if nxt == config:
-                    break
-                config = nxt
-            else:
-                raise ParameterError(
-                    f"{automaton.name}: no fixed point within "
-                    f"{_TABULATE_STEP_CEILING} steps; not tabulatable"
-                )
-    names: dict = {}
-    structured = 0
-    for state in order:
-        if isinstance(state, str) and state in alphabet:
-            names[state] = state
-        else:
-            names[state] = f"s{structured}"
-            structured += 1
-    rows = [
-        (
-            "q" if left is None else names[left],
-            names[center],
-            "q" if right is None else names[right],
-            names[out],
-        )
-        for (left, center, right), out in sorted(
-            triples.items(), key=lambda kv: [names.get(s, "q") for s in kv[0]]
-        )
+    probes = (
+        word
+        for length in range(1, probe_len + 1)
+        for word in itertools.product(alphabet, repeat=length)
+    )
+    states, rows = observe(automaton, probes, _TABULATE_STEP_CEILING)
+    structured = itertools.count()
+    names = [
+        state if isinstance(state, str) and state in alphabet else f"s{next(structured)}"
+        for state in states
     ]
-    accept = [names[s] for s in order if automaton.accepting(s)]
+    label = dict(enumerate(names))
+    label[None] = "q"
+    rows = sorted(zip(*[map(label.__getitem__, column) for column in zip(*rows)]))
+    accept = [n for n, s in zip(names, states) if automaton.accepting(s)]
     if not accept:
         raise RuleFileError(
             f"{automaton.name}: no reachable accepting state up to probe length"
@@ -675,11 +648,11 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
         )
     reject = None
     if automaton.is_decider:
-        reject = [names[s] for s in order if automaton.rejecting(s)]
+        reject = [n for n, s in zip(names, states) if automaton.rejecting(s)]
     return serialize_rules(
         name or automaton.name,
         alphabet,
-        list(names.values()),
+        names,
         accept,
         reject,
         rows,

@@ -176,9 +176,42 @@ def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
         rejecting=reject_set.__contains__ if reject_set is not None else None,
         states=tuple(states),
     )
-    if default == "none":
+    if default == "none" and _has_gap(states, (line[1] for line in rule_lines)):
         validate(automaton)  # the rule raises on the first triple no row covers
     return automaton
+
+
+def _has_gap(states: list[str], patterns: Iterable[tuple[str, str, str]]) -> bool:
+    """Whether some (left, centre, right) over ``states`` matches no pattern.
+
+    Per centre, the flank pairs the rows cover are counted, not walked: an
+    ``x *`` row covers every pair with left flank x, a ``* z`` row every
+    pair with right flank z, ``* *`` all of them, and an exact row one pair.
+    The cost is the number of rows plus states, plus the ``*``-centre rows
+    once more for each centre that has rows of its own.
+    """
+    flanks = len(states) + 1  # the states and the border
+
+    def gap(lefts: set, rights: set, pairs: set) -> bool:
+        if "*" in lefts:  # a ``* *`` row
+            return False
+        covered = (len(lefts) + len(rights)) * flanks - len(lefts) * len(rights)
+        covered += sum(1 for x, z in pairs if x not in lefts and z not in rights)
+        return covered < flanks * flanks
+
+    by_centre: dict[str, tuple[set, set, set]] = {}
+    for x, y, z in patterns:
+        lefts, rights, pairs = by_centre.setdefault(y, (set(), set(), set()))
+        if z == "*":
+            lefts.add(x)
+        elif x == "*":
+            rights.add(z)
+        else:
+            pairs.add((x, z))
+    shared = by_centre.pop("*", (set(), set(), set()))
+    if len(by_centre) < len(states) and gap(*shared):
+        return True  # a centre that only the ``*`` rows reach
+    return any(gap(*map(set.union, shared, own)) for own in by_centre.values())
 
 
 def load_rule_table(path) -> Automaton:

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from acaw import (
     ACCEPT,
+    INACTIVE,
     REJECT,
     TIMEOUT,
     AlphabetError,
@@ -23,6 +24,7 @@ from acaw import (
     compile_lt_to_daca,
     compile_slt_union_to_aca,
     daca_complement,
+    global_step,
     load_lt_expression,
     lt_and,
     lt_eval,
@@ -37,9 +39,11 @@ from acaw import (
     run_acceptor,
     run_decider,
     scanner_accepts,
+    serialize_rules,
     tabulate_by_observation,
     zoo_automaton,
 )
+from acaw import core
 from acaw.core import set_automaton
 from acaw.localtests import _TABULATE_STEP_CEILING
 
@@ -486,14 +490,114 @@ def test_tabulate_errors():
     with pytest.raises(RuleFileError):
         # accepts nothing: the table format cannot express that
         tabulate_by_observation(compile_slt_union_to_aca([]), probe_len=3)
-    blinker = set_automaton(
-        name="blinker",
-        input_alphabet=BITS,
-        rule=lambda left, center, right: "1" if center == "0" else "0",
-        accept_states=["1"],
+
+
+def test_tabulate_refuses_a_cycle_when_the_cycle_check_sees_it(monkeypatch):
+    calls, steps = [], []
+
+    def flip(left, center, right):
+        calls.append(center)
+        return "1" if center == "0" else "0"
+
+    step = core._Runner.step
+    monkeypatch.setattr(
+        core._Runner, "step", lambda runner, config: steps.append(1) or step(runner, config)
     )
-    with pytest.raises(ParameterError):
+    blinker = set_automaton(
+        name="blinker", input_alphabet=BITS, rule=flip, accept_states=["1"]
+    )
+    with pytest.raises(
+        ParameterError,
+        match=f"blinker: no fixed point within {_TABULATE_STEP_CEILING} steps; not tabulatable",
+    ):
         tabulate_by_observation(blinker, probe_len=3)
+    assert len(calls) < 100 and len(steps) < 100
+
+
+def test_tabulate_keeps_the_rule_off_the_border_between_probe_words():
+    def rule(left, center, right):
+        if center is INACTIVE:
+            raise AssertionError("the rule saw a border centre")
+        return "a"
+
+    machine = set_automaton(
+        name="settle", input_alphabet=BITS, rule=rule, accept_states=["a"]
+    )
+    text = tabulate_by_observation(machine, probe_len=3)
+    flat = parse_rule_table(text, name="flat")
+    for w in words("01", 5):
+        assert run_acceptor(flat, w).steps == run_acceptor(machine, w).steps == 1, w
+
+
+def reference_tabulate(automaton, probe_len):
+    """Tabulation one probe word at a time through ``global_step``, with
+    states and triples keyed by the state objects themselves."""
+    alphabet = tuple(automaton.input_alphabet)
+    order, triples = {}, {}
+    for sym in alphabet:
+        order.setdefault(sym, len(order))
+    for length in range(1, probe_len + 1):
+        for config in itertools.product(alphabet, repeat=length):
+            while True:
+                nxt = global_step(automaton, config)
+                padded = (None,) + config + (None,)
+                for i, out in enumerate(nxt):
+                    order.setdefault(out, len(order))
+                    triples[padded[i], config[i], padded[i + 2]] = out
+                if nxt == config:
+                    break
+                config = nxt
+    names, structured = {}, 0
+    for state in order:
+        if isinstance(state, str) and state in alphabet:
+            names[state] = state
+        else:
+            names[state] = f"s{structured}"
+            structured += 1
+    names[None] = "q"
+    rows = sorted(
+        (names[left], names[center], names[right], names[out])
+        for (left, center, right), out in triples.items()
+    )
+    del names[None]
+    accept = [names[s] for s in order if automaton.accepting(s)]
+    reject = None
+    if automaton.is_decider:
+        reject = [names[s] for s in order if automaton.rejecting(s)]
+    return serialize_rules(
+        automaton.name, alphabet, list(names.values()), accept, reject, rows
+    )
+
+
+TRITS = ("0", "1", "2")
+NO2 = Scanner(
+    k=1, alphabet=TRITS,
+    pi=frozenset({"0", "1"}), sigma=frozenset({"0", "1"}), mu=frozenset({"0", "1"}),
+    name="no2",
+)
+ENDS0 = Scanner(
+    k=1, alphabet=TRITS,
+    pi=frozenset(TRITS), sigma=frozenset({"0"}), mu=frozenset(TRITS),
+    name="ends0",
+)
+
+
+@pytest.mark.parametrize(
+    "machine, gather",
+    [
+        (compile_lt_to_daca(SOMEONE_EXPR), 1),
+        (compile_lt_to_daca(TABLE_EXPR), 2),
+        (compile_slt_union_to_aca(WIDE_UNIONS[0]), 3),
+        (compile_lt_to_daca(lt_or(lt_not(lt_scanner(NO2)), lt_scanner(ENDS0))), 1),
+    ],
+    ids=["lt-window1", "lt-window2", "slt-window3", "lt-ternary"],
+)
+def test_tabulate_matches_the_per_word_reference(machine, gather):
+    # Line lists: pytest points at the first differing line without diffing
+    # thousands of lines.
+    got = tabulate_by_observation(machine, gather + 4)
+    assert got.splitlines() == reference_tabulate(machine, gather + 4).splitlines()
+    assert got.endswith("\n")
 
 
 def test_tabulate_refuses_time_bound_over_ceiling_before_simulating():

@@ -1,10 +1,13 @@
 """Rule-table file format: parsing, matching order, serialization."""
 
+import itertools
+import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from acaw import rulefile
 from acaw import (
     ACCEPT,
     INACTIVE,
@@ -115,6 +118,63 @@ def test_default_none_coverage_check_memoizes_nothing():
         tracemalloc.stop()
     assert peak < 4_000_000
     assert run_acceptor(machine, ["s0"] * 3).steps == 0
+
+
+def test_default_none_coverage_is_counted_from_the_rows(monkeypatch):
+    """A covered table never reaches the walk over all (S+1)*S*(S+1) triples,
+    which at 200 states would call the rule about 8 M times."""
+    monkeypatch.setattr(rulefile, "validate", lambda automaton: pytest.fail("walked"))
+    states = [f"s{i}" for i in range(200)]
+    rows = []
+    for i, centre in enumerate(states):
+        if i % 2:
+            rows += [f"{left} {centre} * -> s1" for left in states]
+        else:
+            rows.append(f"* {centre} * -> s1")
+    rows.append("q * * -> s0")  # every centre: the left border
+    text = (
+        "alphabet: s0\nstates: " + " ".join(states) + "\naccept: s1\n"
+        + "".join(f"rule: {row}\n" for row in rows) + "default: none\n"
+    )
+    machine = parse_rule_table(text)
+    assert run_acceptor(machine, ["s0"] * 3).steps == 1
+
+
+def brute_gap(states, rows):
+    """The first (left, centre, right) in ``validate``'s walk order that no
+    row matches, with the border as INACTIVE; None if every one is matched."""
+    flanks = states + [INACTIVE]
+    for triple in itertools.product(flanks, states, flanks):
+        names = ["q" if s is INACTIVE else s for s in triple]
+        if not any(all(p in ("*", n) for p, n in zip(row, names)) for row in rows):
+            return triple
+    return None
+
+
+def test_default_none_coverage_agrees_with_the_walk():
+    rng = random.Random(7)
+    gaps = 0
+    for _ in range(400):
+        states = ["a", "b", "c"][: rng.randint(1, 3)]
+        flank = states + ["q", "*", "*"]
+        rows = [
+            (rng.choice(flank), rng.choice(states + ["*"]), rng.choice(flank))
+            for _ in range(rng.randint(0, 12))
+        ]
+        text = (
+            f"alphabet: a\nstates: {' '.join(states)}\naccept: a\n"
+            + "".join(f"rule: {x} {y} {z} -> a\n" for x, y, z in rows)
+            + "default: none\n"
+        )
+        gap = brute_gap(states, rows)
+        if gap is None:
+            parse_rule_table(text, name="t")
+        else:
+            gaps += 1
+            with pytest.raises(RuleFileError) as info:
+                parse_rule_table(text, name="t")
+            assert str(info.value) == f"t: no rule covers {gap} and default is none"
+    assert 50 < gaps < 350  # both outcomes are exercised
 
 
 def test_comment_and_blank_lines_ignored():
