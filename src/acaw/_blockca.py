@@ -39,6 +39,9 @@ sits at position r-1.  Members are served through round b and accept before
 round b+1; any word surviving r rounds has pairwise-distinct blocks of
 lengths 1..r and is therefore quadratically long, which bounds rejection by
 roughly 6*sqrt(2n) steps.
+
+The rule builds its states positionally, for speed, so ``BCell``'s field
+order is part of the trace contract: a trace's configurations are these tuples.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .core import Automaton, _Inactive
+
+_new = tuple.__new__  # a BCell from its fields, skipping the Python-level BCell.__new__
 
 SHIFT = "shift"  # identity-matrix rows: next block = previous shifted right
 INCREMENT = "increment"  # counter blocks: next block = previous plus one
@@ -92,49 +97,52 @@ def _init_cell(left, sym: str, right, decider: bool) -> BCell:
     rnb = _kind(right)
     dead = sym == "#" and not (lnb == "b" and rnb == "b")
     marker = "C" if (decider and sym != "#" and lnb in ("q", "#")) else "-"
-    return BCell(
-        sym=sym,
-        lnb=lnb,
-        rnb=rnb,
-        age=0,
-        ls=sym,
-        hold=".",
-        rf=".",
-        emit=(sym == "#") or (sym != "#" and lnb == "q"),
-        v=None,
-        ok=False,
-        dead=dead,
-        phase=1 if decider else 0,
-        marker=marker,
-    )
+    emit = sym == "#" or lnb == "q"
+    return _new(BCell, (sym, lnb, rnb, 0, sym, ".", ".", emit, None, False, dead,
+                        1 if decider else 0, marker))
 
 
-def _hop_marker(center: BCell, left) -> str:
-    if center.sym == "#" or center.lnb != "b" or not isinstance(left, BCell):
+def _hop_marker(sym: str, lnb: str, left) -> str:
+    if sym == "#" or lnb != "b" or not isinstance(left, BCell):
         return "-"
     if left.marker not in ("C", "S"):
         return "-"
     return "S" if (left.marker == "S" or left.sym == "1") else "C"
 
 
+def _enter(ok, mode, fsm, ones, sym, rf, lnb, rnb, shift):
+    """Start a verifier visit on a live block cell: its ``(ok, dead, v)``."""
+    if mode == "F":
+        passed = sym == ("1" if (shift and lnb == "q") else "0")
+    elif shift:
+        passed = (sym == "0") if lnb == "#" else (sym == rf)
+    else:
+        passed = True  # counter comparison reads on the next step
+    if not passed:
+        return ok, True, None
+    if rnb == "q":
+        if shift:
+            return (True, False, None) if sym == "1" else (ok, True, None)
+        if mode == "C":
+            return ok, False, (mode, 0, fsm, ones)  # completes at its par-1 step
+        return ok, False, None  # counter first-scan on a single block: nothing to accept
+    return ok or mode == "F" or shift, False, (mode, 0, fsm, ones)
+
+
 class _BlockRule:
     """The local rule; one instance per machine flavor."""
 
     def __init__(self, compare: str, decider: bool):
-        self.compare = compare
+        self.shift = compare == SHIFT
         self.decider = decider
 
     def __call__(self, left, center, right):
         if not isinstance(center, BCell):
             return _init_cell(left, center, right, self.decider)
+        sym, lnb, rnb, age, ls, hold, _, emit, cv, ok, dead, phase, marker = center
         new_ls = right.ls if isinstance(right, BCell) else "q"
-        left_rf = left.rf if isinstance(left, BCell) else "."
-
-        sym = center.sym
-        hold = center.hold
-        emit = center.emit
-        dead = center.dead
-        ok = center.ok
+        left_cell = isinstance(left, BCell)
+        left_rf = left.rf if left_cell else "."
 
         if sym == "#":
             if emit:
@@ -155,44 +163,25 @@ class _BlockRule:
                 rf, emit = "H", False
             else:
                 rf = hold
-            hold = center.ls
+            hold = ls
         else:
             rf = left_rf
             hold = "."
 
         v = None
-        shift = self.compare == SHIFT
+        shift = self.shift
+        left_v = left.v if left_cell and left.sym != "#" else None
+        if left_v is not None and left_v[1] != 1:
+            left_v = None  # only a visit at its par-1 step moves right
 
-        def par0_enter(mode: str, fsm: str, ones: bool) -> None:
-            """Start a verifier visit on this cell; records ok/dead/v."""
-            nonlocal ok, dead, v
-            if mode == "F":
-                want = "1" if (shift and center.lnb == "q") else "0"
-                passed = sym == want
-            elif shift:
-                passed = (sym == "0") if center.lnb == "#" else (sym == rf)
-            else:
-                passed = True  # counter comparison reads on the next step
-            if not passed:
-                dead = True
-                return
-            if center.rnb == "q":
-                if shift:
-                    if sym == "1":
-                        ok = True
-                    else:
-                        dead = True
-                elif mode == "C":
-                    v = (mode, 0, fsm, ones)  # completes at its par-1 step
-                # counter first-scan on a single block: nothing to accept
-            else:
-                if mode == "F" or shift:
+        if sym == "#":
+            if left_v is not None and not dead:
+                mode, _, fsm, _ = left_v
+                if shift or mode == "F" or fsm == "p":
                     ok = True
-                v = (mode, 0, fsm, ones)
-
-        if sym != "#":
-            if center.v is not None and not dead:
-                mode, par, fsm, ones = center.v
+        elif not dead:
+            if cv is not None:
+                mode, par, fsm, ones = cv
                 if par == 0:
                     if not shift and mode == "C":
                         # Counter comparison: this cell's stream slot is the
@@ -207,61 +196,31 @@ class _BlockRule:
                             dead = True
                         ones = ones and sym == "1"
                         if not dead:
-                            if center.rnb == "q":
+                            if rnb == "q":
                                 if fsm == "p" and ones:
                                     ok = True
                             else:
                                 ok = True
                                 v = (mode, 1, fsm, ones)
-                    elif not dead:
+                    else:
                         v = (mode, 1, fsm, ones)
                 # par == 1: the visit ends; the right neighbor picks it up.
-            elif center.v is None and not center.dead:
-                if (
-                    isinstance(left, BCell)
-                    and left.sym != "#"
-                    and left.v is not None
-                    and left.v[1] == 1
-                ):
-                    par0_enter(left.v[0], left.v[2], left.v[3])
-                elif center.age == 0 and center.lnb == "q":
-                    par0_enter("F", "e", True)
-                elif center.lnb == "#" and rf == "H":
-                    par0_enter("C", "e", True)
-        else:
-            if (
-                isinstance(left, BCell)
-                and left.sym != "#"
-                and left.v is not None
-                and left.v[1] == 1
-                and not dead
-            ):
-                mode, _, fsm, _ = left.v
-                if shift or mode == "F" or fsm == "p":
-                    ok = True
+            elif left_v is not None:
+                ok, dead, v = _enter(ok, left_v[0], left_v[2], left_v[3], sym, rf, lnb, rnb, shift)
+            elif age == 0 and lnb == "q":
+                ok, dead, v = _enter(ok, "F", "e", True, sym, rf, lnb, rnb, shift)
+            elif lnb == "#" and rf == "H":
+                ok, dead, v = _enter(ok, "C", "e", True, sym, rf, lnb, rnb, shift)
 
         if self.decider:
-            phase = (center.phase + 1) % 6
-            marker = _hop_marker(center, left) if phase == 1 else center.marker
+            phase = (phase + 1) % 6
+            if phase == 1:
+                marker = _hop_marker(sym, lnb, left)
         else:
             phase = 0
             marker = "-"
 
-        return BCell(
-            sym=sym,
-            lnb=center.lnb,
-            rnb=center.rnb,
-            age=1,
-            ls=new_ls,
-            hold=hold,
-            rf=rf,
-            emit=emit,
-            v=v,
-            ok=ok,
-            dead=dead,
-            phase=phase,
-            marker=marker,
-        )
+        return _new(BCell, (sym, lnb, rnb, 1, new_ls, hold, rf, emit, v, ok, dead, phase, marker))
 
 
 def _accepting_acceptor(state) -> bool:

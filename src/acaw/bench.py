@@ -87,6 +87,8 @@ def read_rows(path) -> list[BenchRow]:
             family, k, n, verdict, steps = record
             if verdict not in (ACCEPT, REJECT, TIMEOUT):
                 raise ParameterError(f"{path}:{lineno}: bad verdict {verdict!r}")
+            if (steps == "") != (verdict == TIMEOUT):
+                raise ParameterError(f"{path}:{lineno}: steps must be empty exactly for a timeout")
             try:
                 rows.append(
                     BenchRow(

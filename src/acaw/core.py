@@ -347,9 +347,11 @@ class _Runner:
         if rid is None:
             z1, z2, z3 = key
             res = self.rule(self.objs[z1], self.objs[z2], self.objs[z3])
-            if isinstance(res, _Inactive):
+            rid = self.ids.get(res)
+            if rid is None:
+                rid = self.intern(res)
+            elif rid == 0:  # INACTIVE, the border's id since the runner was made
                 raise AlphabetError(f"{self.name}: rule drove an active cell inactive")
-            rid = self.intern(res)
             self.table[key] = rid
         return rid
 

@@ -42,12 +42,16 @@ def test_csv_round_trip(tmp_path):
         "family,k,n,verdict,steps\nidmat,1,1,maybe,3\n",  # bad verdict
         "family,k,n,verdict,steps\nidmat,one,1,accept,3\n",  # non-integer k
         "family,k,n,verdict,steps\nidmat,1,1,accept\n",  # missing field
+        "family,k,n,verdict,steps\nidmat,1,2,timeout,5\n",  # steps on a timeout
+        "family,k,n,verdict,steps\nidmat,2,5,accept,\n",  # no steps on a verdict
     ],
 )
 def test_read_rows_rejects_malformed(tmp_path, content):
     path = tmp_path / "bad.csv"
     path.write_text(content)
-    with pytest.raises(ParameterError):
+    # every error names the file, and an error in a row also its line
+    where = r"bad\.csv:2: " if content.count("\n") == 2 else r"bad\.csv: "
+    with pytest.raises(ParameterError, match=where):
         read_rows(path)
 
 

@@ -111,6 +111,32 @@ def test_decider_first_final_wins():
     assert run_decider(dec, "11").kind == ACCEPT
 
 
+def test_rule_output_inactive_is_refused_after_misses_and_hits():
+    """A rule that returns INACTIVE only at step 2, once step 1 has missed and
+    hit the memo, is refused every time and never memoized."""
+    calls = []
+
+    def dies_at_step_two(left, center, right):
+        calls.append((left, center, right))
+        return "1" if center == "0" else INACTIVE
+
+    machine = set_automaton(
+        "dies", ("0",), dies_at_step_two, accept_states=("2",), states=("0", "1", "2")
+    )
+    message = r"^dies: rule drove an active cell inactive$"
+    with pytest.raises(AlphabetError, match=message):
+        run_acceptor(machine, "00000")
+    # step 1 missed on three triples, the middle cells sharing one
+    q = INACTIVE
+    assert calls == [(q, "0", "0"), ("0", "0", "0"), ("0", "0", q), (q, "1", "1")]
+    assert global_step(machine, ("0", "0", "0", "0", "0")) == ("1",) * 5
+    assert len(calls) == 4  # all memo hits
+    for _ in range(2):
+        with pytest.raises(AlphabetError, match=message):
+            global_step(machine, ("1", "1", "1", "1", "1"))
+    assert calls[4:] == [(q, "1", "1")] * 2
+
+
 def test_configurations_yields_step_zero_and_stops_on_cycle():
     a = make_shift()
     configs = list(configurations(a, "10"))

@@ -1,5 +1,6 @@
 """Built-in machines: frozen traces, exact step counts, soundness, witnesses."""
 
+import hashlib
 import itertools
 import tracemalloc
 
@@ -97,6 +98,24 @@ def test_idmat_member_step_counts():
     for k, want in IDMAT_DEC_STEPS.items():
         v = run_decider(dec, generate_idmat(k))
         assert (v.kind, v.steps) == (ACCEPT, want), k
+
+
+def test_block_machines_full_state_digest():
+    """Pins every register of every cell of the idmat acceptor and decider and
+    the bin acceptor on every ternary word of length <= 6.  The reference
+    stepper test calls the same rule on both sides, so only a pin like this
+    catches a rule rewrite that changes a state, or BCell's field order."""
+    digest = hashlib.sha256()
+    for family, role in (("idmat", "acceptor"), ("idmat", "decider"), ("bin", "acceptor")):
+        machine = getattr(FAMILIES[family], role)()
+        run = run_decider if machine.is_decider else run_acceptor
+        for n in range(1, 7):
+            for word in itertools.product("01#", repeat=n):
+                v = run(machine, word, collect_trace=True)
+                digest.update(repr((v.kind, v.steps, v.trace.configurations)).encode())
+    assert digest.hexdigest() == (
+        "b9602f66def554eaa5642fc00b40312a5ccb722d8a2d00fd364227c435c5ed3c"
+    )
 
 
 def test_idmat_decider_is_total_and_fast_on_corruptions():
