@@ -144,21 +144,6 @@ def _cmd_fit(args) -> int:
     return EXIT_FAIL
 
 
-def _union_scanners(expr):
-    """The scanner leaves of a union-only expression, else None."""
-    if expr.op == "scanner":
-        return [expr.scanner]
-    if expr.op != "or":
-        return None
-    leaves = []
-    for child in expr.children:
-        part = _union_scanners(child)
-        if part is None:
-            return None
-        leaves.extend(part)
-    return leaves
-
-
 def _cmd_compile(args) -> int:
     path = pathlib.Path(args.spec)
     if args.kind == "slt":
@@ -166,11 +151,11 @@ def _cmd_compile(args) -> int:
             scanners = [load_scanner(path)]
         except RuleFileError:
             expr = load_lt_expression(path)
-            scanners = _union_scanners(expr)
-            if scanners is None:
+            if any(node.op not in ("or", "scanner") for node in expr.nodes()):
                 raise ParameterError(
                     f"{path}: slt compilation needs a scanner file or a pure union"
                 ) from None
+            scanners = expr.leaves()
         machine = compile_slt_union_to_aca(scanners)
         gather = max(s.k for s in scanners)
     else:
@@ -300,10 +285,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.handler(args)
-    except (AcawError, RuleFileError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (AcawError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,7 +25,7 @@ import itertools
 import pathlib
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 _TABULATE_STEP_CEILING = 10_000
 
@@ -38,7 +38,7 @@ from .core import (
     global_step,  # unused here; benchmarks/tracing.py wraps this module attribute
     observe,
 )
-from .rulefile import RuleFileError, directive_lines, serialize_rules
+from .rulefile import RuleFileError, file_lines, read_directives, read_text, serialize_rules
 from .words import profile
 
 
@@ -115,13 +115,14 @@ class LTExpression:
         else:
             raise ParameterError(f"unknown operator {self.op!r}")
 
-    def leaves(self) -> list[Scanner]:
-        if self.op == "scanner":
-            return [self.scanner]
-        out = []
+    def nodes(self) -> Iterator["LTExpression"]:
+        """Every node of the tree, parents before children, left to right."""
+        yield self
         for child in self.children:
-            out.extend(child.leaves())
-        return out
+            yield from child.nodes()
+
+    def leaves(self) -> list[Scanner]:
+        return [node.scanner for node in self.nodes() if node.op == "scanner"]
 
     @property
     def alphabet(self) -> tuple:
@@ -480,35 +481,31 @@ def aca_to_daca(acceptor: Automaton, t_const: int) -> Automaton:
 # ---------------------------------------------------------------------------
 # File formats.
 
-_SCANNER_KEYS = frozenset({"k", "alphabet", "pi", "sigma", "mu"})
+# An expression nests at most this deep; the parser, ``lt_eval`` and the
+# compilers all recurse once per level.
+_MAX_NESTING = 100
 
 
 def parse_scanner(text: str, name: str = "scanner") -> Scanner:
     """Parse the scanner file format: k, alphabet, pi, sigma, mu directives."""
-    fields: dict[str, list[str]] = {}
-    for where, key, tokens in directive_lines(text, name):
-        if key not in _SCANNER_KEYS:
-            raise RuleFileError(f"{where}: unknown directive {key!r}")
-        fields[key] = tokens
-    missing = _SCANNER_KEYS - set(fields)
-    if missing:
-        raise RuleFileError(f"{name}: missing directives {sorted(missing)}")
+    fields, _ = read_directives(text, name, ("k", "alphabet", "pi", "sigma", "mu"))
+    at, k = fields["k"]
     try:
-        (k,) = map(int, fields["k"])
+        (k,) = map(int, k)
     except ValueError:
-        raise RuleFileError(f"{name}: k must be an integer") from None
-    alphabet = tuple(fields["alphabet"])
+        raise RuleFileError(f"{name}:{at}: k must be an integer") from None
+    at, alphabet = fields["alphabet"]
     if not alphabet or any(len(sym) != 1 for sym in alphabet):
-        raise RuleFileError(f"{name}: alphabet must list single-character symbols")
+        raise RuleFileError(f"{name}:{at}: alphabet must list single-character symbols")
     if len(set(alphabet)) != len(alphabet):
-        raise RuleFileError(f"{name}: duplicate alphabet symbols")
+        raise RuleFileError(f"{name}:{at}: duplicate alphabet symbols")
     try:
         return Scanner(
             k=k,
             alphabet=alphabet,
-            pi=frozenset(fields["pi"]),
-            sigma=frozenset(fields["sigma"]),
-            mu=frozenset(fields["mu"]),
+            pi=frozenset(fields["pi"][1]),
+            sigma=frozenset(fields["sigma"][1]),
+            mu=frozenset(fields["mu"][1]),
             name=name,
         )
     except ParameterError as exc:
@@ -516,8 +513,7 @@ def parse_scanner(text: str, name: str = "scanner") -> Scanner:
 
 
 def load_scanner(path) -> Scanner:
-    path = pathlib.Path(path)
-    return parse_scanner(path.read_text(), name=path.stem)
+    return parse_scanner(read_text(path), name=pathlib.Path(path).stem)
 
 
 def _tokenize_expression(text: str) -> list[str]:
@@ -528,8 +524,12 @@ def _parse_expression(tokens: list[str], scanners: dict, where: str) -> LTExpres
     if not tokens:
         raise RuleFileError(f"{where}: empty expression")
 
-    def parse(pos: int):
+    def parse(pos: int, depth: int):
         if tokens[pos] == "(":
+            if depth == _MAX_NESTING:
+                raise RuleFileError(
+                    f"{where}: expression nests deeper than {_MAX_NESTING} levels"
+                )
             if pos + 1 >= len(tokens):
                 raise RuleFileError(f"{where}: unclosed parenthesis")
             op = tokens[pos + 1]
@@ -538,7 +538,7 @@ def _parse_expression(tokens: list[str], scanners: dict, where: str) -> LTExpres
             pos += 2
             children = []
             while pos < len(tokens) and tokens[pos] != ")":
-                child, pos = parse(pos)
+                child, pos = parse(pos, depth + 1)
                 children.append(child)
             if pos >= len(tokens):
                 raise RuleFileError(f"{where}: unclosed parenthesis")
@@ -555,7 +555,7 @@ def _parse_expression(tokens: list[str], scanners: dict, where: str) -> LTExpres
             raise RuleFileError(f"{where}: unknown scanner name {name!r}")
         return lt_scanner(scanners[name]), pos + 1
 
-    node, pos = parse(0)
+    node, pos = parse(0, 0)
     if pos != len(tokens):
         raise RuleFileError(f"{where}: trailing tokens after the expression")
     return node
@@ -566,30 +566,17 @@ def parse_lt_expression(text: str, where: str = "lt-file", base_dir=None) -> LTE
     base = pathlib.Path(base_dir) if base_dir is not None else pathlib.Path(".")
     scanners: dict[str, Scanner] = {}
     expression_lines = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("let "):
-            rest = line[4:]
-            if "=" not in rest:
-                raise RuleFileError(f"{where}:{lineno}: expected 'let NAME = FILE'")
-            name, _, filename = rest.partition("=")
-            name = name.strip()
-            filename = filename.strip()
-            if not name or not filename:
-                raise RuleFileError(f"{where}:{lineno}: expected 'let NAME = FILE'")
-            if name in scanners:
-                raise RuleFileError(f"{where}:{lineno}: duplicate binding {name!r}")
-            scanner_path = base / filename
-            try:
-                scanners[name] = load_scanner(scanner_path)
-            except FileNotFoundError:
-                raise RuleFileError(
-                    f"{where}:{lineno}: scanner file {scanner_path} not found"
-                ) from None
-        else:
+    for lineno, line in file_lines(text):
+        if not line.startswith("let "):
             expression_lines.append(line)
+            continue
+        name, _, filename = (part.strip() for part in line[4:].partition("="))
+        if not name or not filename:
+            raise RuleFileError(f"{where}:{lineno}: expected 'let NAME = FILE'")
+        if name in scanners:
+            raise RuleFileError(f"{where}:{lineno}: duplicate binding {name!r}")
+        path = base / filename
+        scanners[name] = parse_scanner(read_text(path, f"{where}:{lineno}"), name=path.stem)
     if not expression_lines:
         raise RuleFileError(f"{where}: no expression line")
     tokens = _tokenize_expression(" ".join(expression_lines))
@@ -600,7 +587,7 @@ def parse_lt_expression(text: str, where: str = "lt-file", base_dir=None) -> LTE
 
 def load_lt_expression(path) -> LTExpression:
     path = pathlib.Path(path)
-    return parse_lt_expression(path.read_text(), where=path.stem, base_dir=path.parent)
+    return parse_lt_expression(read_text(path), where=path.stem, base_dir=path.parent)
 
 
 def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = None) -> str:

@@ -21,11 +21,15 @@ border, and writing ``q`` there is an error, as is writing it as output W).
 The first matching rule wins.  Unmatched triples fall back to ``default``:
 ``center`` keeps the centre state, ``none`` demands the rules be exhaustive
 and makes any gap a load-time error.
+
+The reader here, :func:`read_text`, :func:`file_lines` and
+:func:`read_directives`, also reads DFA, scanner and LT-expression files.
 """
 
 from __future__ import annotations
 
-from typing import Container, Iterable, Iterator, Optional
+import pathlib
+from typing import Iterable, Iterator, Optional
 
 from .core import INACTIVE, AcawError, Automaton, validate
 
@@ -48,13 +52,12 @@ class _TableRule:
 
     __slots__ = ("name", "exact", "wild", "default_center")
 
-    def __init__(self, name: str, rows: Iterable[tuple[tuple[str, str, str], str]],
-                 default_center: bool):
+    def __init__(self, name: str, rows: Iterable[tuple[str, ...]], default_center: bool):
         self.name = name
         self.default_center = default_center
         self.exact: dict[tuple, str] = {}
         self.wild: list[tuple[tuple, str]] = []
-        for (x, y, z), w in rows:
+        for x, y, z, _, w in rows:
             pattern = (INACTIVE if x == "q" else x, y, INACTIVE if z == "q" else z)
             if "*" in pattern:
                 self.wild.append((pattern, w))
@@ -76,113 +79,135 @@ class _TableRule:
         return z2 if out is None else out
 
 
-def directive_lines(
-    text: str, name: str, repeatable: Container[str] = ()
-) -> Iterator[tuple[str, str, list[str]]]:
-    """The ``key: values`` lines of ``text`` as (where, key, tokens).
+def read_text(path, where: Optional[str] = None) -> str:
+    """The text of ``path``.
 
-    Blank lines and lines whose first non-blank character is ``#`` are
-    skipped.  ``where`` is ``name:lineno``, the prefix of every error about
-    that line.  A line without ``:``, or a second line for a key not in
-    ``repeatable``, raises :class:`RuleFileError`; which keys are known is
-    left to the caller.
+    An :class:`OSError` becomes a :class:`RuleFileError` that names the
+    path, after ``where`` (``name:lineno`` of the line that named the file)
+    when given.
     """
-    seen = set()
+    try:
+        return pathlib.Path(path).read_text()
+    except OSError as exc:
+        prefix = f"{where}: " if where else ""
+        raise RuleFileError(f"{prefix}cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def file_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The stripped lines of ``text`` as (lineno, line), skipping blank lines
+    and lines whose first non-blank character is ``#``.  Every error about
+    a line starts ``name:lineno:``."""
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        where = f"{name}:{lineno}"
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
+def read_directives(
+    text: str, name: str, required: Iterable[str], optional: Iterable[str] = (),
+    row: Optional[str] = None,
+) -> tuple[dict[str, tuple[int, tuple[str, ...]]], list[tuple[int, tuple[str, ...]]]]:
+    """The ``key: values`` lines of ``text``, checked against a format's keys.
+
+    Returns (fields, rows): ``fields`` maps each single-valued key present
+    to (lineno, tokens), and ``rows`` lists the lines of the repeatable key
+    ``row`` as (lineno, tokens) in file order.  A line without ``:``, an
+    unknown key, a second line for a single-valued key and a missing
+    ``required`` key raise :class:`RuleFileError`; what the values may be
+    is left to the caller.
+    """
+    known = {*required, *optional}
+    fields: dict[str, tuple[int, tuple[str, ...]]] = {}
+    rows: list[tuple[int, tuple[str, ...]]] = []
+    for lineno, line in file_lines(text):
         key, sep, rest = line.partition(":")
         if not sep:
-            raise RuleFileError(f"{where}: expected 'key: values'")
+            raise RuleFileError(f"{name}:{lineno}: expected 'key: values'")
         key = key.strip()
-        if key in seen and key not in repeatable:
-            raise RuleFileError(f"{where}: duplicate '{key}:' line")
-        seen.add(key)
-        yield where, key, rest.split()
+        if key == row:
+            rows.append((lineno, tuple(rest.split())))
+        elif key in fields:
+            raise RuleFileError(f"{name}:{lineno}: duplicate '{key}:' line")
+        elif key in known:
+            fields[key] = lineno, tuple(rest.split())
+        else:
+            raise RuleFileError(f"{name}:{lineno}: unknown directive {key!r}")
+    for key in required:
+        if key not in fields:
+            raise RuleFileError(f"{name}: missing '{key}:' line")
+    return fields, rows
 
 
 def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
-    sections: dict[str, list[str]] = {}
-    default: Optional[str] = None
-    rule_lines: list[tuple[str, tuple[str, str, str], str]] = []
-
-    for where, key, tokens in directive_lines(text, name, repeatable=("rule",)):
-        if key == "rule":
-            if len(tokens) != 5 or tokens[3] != "->":
-                raise RuleFileError(f"{where}: malformed rule line")
-            rule_lines.append((where, tuple(tokens[:3]), tokens[4]))
-        elif key in ("alphabet", "states", "accept", "reject"):
-            sections[key] = tokens
-        elif key == "default":
-            if tokens != ["center"] and tokens != ["none"]:
-                raise RuleFileError(f"{where}: default must be 'center' or 'none'")
-            default = tokens[0]
-        else:
-            raise RuleFileError(f"{where}: unknown directive {key!r}")
-
-    alphabet = sections.get("alphabet")
-    states = sections.get("states")
-    accept = sections.get("accept")
-    reject = sections.get("reject")
-    if alphabet is None or not alphabet:
-        raise RuleFileError(f"{name}: missing or empty 'alphabet:' line")
-    if states is None or not states:
-        raise RuleFileError(f"{name}: missing or empty 'states:' line")
-    if accept is None or not accept:
-        raise RuleFileError(f"{name}: missing or empty 'accept:' line")
+    fields, rule_rows = read_directives(
+        text, name, ("alphabet", "states", "accept", "default"), ("reject",), row="rule"
+    )
+    for key in ("alphabet", "states", "accept"):
+        if not fields[key][1]:
+            raise RuleFileError(f"{name}:{fields[key][0]}: empty '{key}:' line")
+    (at_alphabet, alphabet), (at_states, states) = fields["alphabet"], fields["states"]
+    at_accept, accept = fields["accept"]
+    at_reject, reject = fields.get("reject", (None, None))
     if reject is not None and not reject:
         raise RuleFileError(
-            f"{name}: 'reject:' needs at least one state; drop the line for an acceptor"
+            f"{name}:{at_reject}: 'reject:' needs at least one state;"
+            " drop the line for an acceptor"
         )
-    if default is None:
-        raise RuleFileError(f"{name}: missing 'default:' line")
+    at_default, default = fields["default"]
+    if default != ("center",) and default != ("none",):
+        raise RuleFileError(f"{name}:{at_default}: default must be 'center' or 'none'")
 
     state_set = set(states)
     if len(state_set) != len(states):
-        raise RuleFileError(f"{name}: duplicate state names")
+        raise RuleFileError(f"{name}:{at_states}: duplicate state names")
     if len(set(alphabet)) != len(alphabet):
-        raise RuleFileError(f"{name}: duplicate alphabet symbols")
+        raise RuleFileError(f"{name}:{at_alphabet}: duplicate alphabet symbols")
     for tok in states:
         if tok in _RESERVED:
-            raise RuleFileError(f"{name}: state name {tok!r} is reserved")
-    for group, label in ((alphabet, "alphabet"), (accept, "accept"), (reject or [], "reject")):
+            raise RuleFileError(f"{name}:{at_states}: state name {tok!r} is reserved")
+    for group, label, at in (
+        (alphabet, "alphabet", at_alphabet), (accept, "accept", at_accept),
+        (reject or (), "reject", at_reject),
+    ):
         for tok in group:
             if tok not in state_set:
-                raise RuleFileError(f"{name}: {label} entry {tok!r} is not a state")
+                raise RuleFileError(f"{name}:{at}: {label} entry {tok!r} is not a state")
     if reject is not None and set(accept) & set(reject):
-        raise RuleFileError(f"{name}: accept and reject sets overlap")
+        raise RuleFileError(f"{name}:{at_reject}: accept and reject sets overlap")
 
     flank_ok = state_set | {"q", "*"}
     centre_ok = state_set | {"*"}
-    for where, (x, y, z), w in rule_lines:
+    for at, tokens in rule_rows:
+        if len(tokens) != 5 or tokens[3] != "->":
+            raise RuleFileError(f"{name}:{at}: malformed rule line")
+        x, y, z, _, w = tokens
         if x not in flank_ok or z not in flank_ok:
-            raise RuleFileError(f"{where}: bad flank in rule {x, y, z, w}")
+            raise RuleFileError(f"{name}:{at}: bad flank in rule {x, y, z, w}")
         if y == "q":
-            raise RuleFileError(f"{where}: centre pattern may not be the border 'q'")
+            raise RuleFileError(f"{name}:{at}: centre pattern may not be the border 'q'")
         if y not in centre_ok:
-            raise RuleFileError(f"{where}: bad centre in rule {x, y, z, w}")
+            raise RuleFileError(f"{name}:{at}: bad centre in rule {x, y, z, w}")
         if w not in state_set:
-            raise RuleFileError(f"{where}: rule output {w!r} is not a state")
+            raise RuleFileError(f"{name}:{at}: rule output {w!r} is not a state")
 
+    rows = [tokens for _, tokens in rule_rows]
     accept_set = frozenset(accept)
     reject_set = frozenset(reject) if reject is not None else None
     automaton = Automaton(
         name=name,
-        input_alphabet=tuple(alphabet),
-        rule=_TableRule(name, (line[1:] for line in rule_lines), default == "center"),
+        input_alphabet=alphabet,
+        rule=_TableRule(name, rows, default == ("center",)),
         accepting=accept_set.__contains__,
         rejecting=reject_set.__contains__ if reject_set is not None else None,
-        states=tuple(states),
+        states=states,
     )
-    if default == "none" and _has_gap(states, (line[1] for line in rule_lines)):
+    if default == ("none",) and _has_gap(states, rows):
         validate(automaton)  # the rule raises on the first triple no row covers
     return automaton
 
 
-def _has_gap(states: list[str], patterns: Iterable[tuple[str, str, str]]) -> bool:
-    """Whether some (left, centre, right) over ``states`` matches no pattern.
+def _has_gap(states: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> bool:
+    """Whether some (left, centre, right) over ``states`` matches no row.
 
     Per centre, the flank pairs the rows cover are counted, not walked: an
     ``x *`` row covers every pair with left flank x, a ``* z`` row every
@@ -200,7 +225,7 @@ def _has_gap(states: list[str], patterns: Iterable[tuple[str, str, str]]) -> boo
         return covered < flanks * flanks
 
     by_centre: dict[str, tuple[set, set, set]] = {}
-    for x, y, z in patterns:
+    for x, y, z, _, _ in rows:
         lefts, rights, pairs = by_centre.setdefault(y, (set(), set(), set()))
         if z == "*":
             lefts.add(x)
@@ -215,14 +240,7 @@ def _has_gap(states: list[str], patterns: Iterable[tuple[str, str, str]]) -> boo
 
 
 def load_rule_table(path) -> Automaton:
-    from pathlib import Path
-
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise RuleFileError(f"cannot read {p}: {exc}") from exc
-    return parse_rule_table(text, name=p.stem)
+    return parse_rule_table(read_text(path), name=pathlib.Path(path).stem)
 
 
 def serialize_rules(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import ParameterError
-from .rulefile import RuleFileError, directive_lines
+from .rulefile import RuleFileError, read_directives, read_text
 
 
 @dataclass(frozen=True)
@@ -67,42 +67,34 @@ def parse_dfa(text: str, name: str = "dfa") -> Dfa:
     ``trans: STATE LETTER -> STATE`` line per transition; ``#`` starts a
     comment line.  The transition function must be total.
     """
-    sections: dict[str, list[str]] = {}
+    fields, trans_rows = read_directives(
+        text, name, ("alphabet", "states", "start", "accept"), row="trans"
+    )
     transitions: dict = {}
-    for where, key, tokens in directive_lines(text, name, repeatable=("trans",)):
-        if key == "trans":
-            if len(tokens) != 4 or tokens[2] != "->":
-                raise RuleFileError(f"{where}: expected 'trans: STATE LETTER -> STATE'")
-            source, letter, _, target = tokens
-            if (source, letter) in transitions:
-                raise RuleFileError(
-                    f"{where}: second transition from {source!r} on {letter!r}"
-                )
-            transitions[(source, letter)] = target
-        elif key in ("alphabet", "states", "start", "accept"):
-            sections[key] = tokens
-        else:
-            raise RuleFileError(f"{where}: unknown directive {key!r}")
-    for needed in ("alphabet", "states", "start"):
-        if not sections.get(needed):
-            raise RuleFileError(f"{name}: missing or empty '{needed}:' line")
-    if "accept" not in sections:
-        raise RuleFileError(f"{name}: missing 'accept:' line")
-    alphabet = sections["alphabet"]
-    if any(len(a) != 1 for a in alphabet):
-        raise RuleFileError(f"{name}: letters must be single characters")
+    for at, tokens in trans_rows:
+        if len(tokens) != 4 or tokens[2] != "->":
+            raise RuleFileError(f"{name}:{at}: expected 'trans: STATE LETTER -> STATE'")
+        source, letter, _, target = tokens
+        if (source, letter) in transitions:
+            raise RuleFileError(
+                f"{name}:{at}: second transition from {source!r} on {letter!r}"
+            )
+        transitions[(source, letter)] = target
+    at, alphabet = fields["alphabet"]
+    if not alphabet or any(len(a) != 1 for a in alphabet):
+        raise RuleFileError(f"{name}:{at}: alphabet must list single-character letters")
     if len(set(alphabet)) != len(alphabet):
-        raise RuleFileError(f"{name}: duplicate letters")
-    starts = sections["start"]
+        raise RuleFileError(f"{name}:{at}: duplicate letters")
+    at, starts = fields["start"]
     if len(starts) != 1:
-        raise RuleFileError(f"{name}: exactly one start state required")
+        raise RuleFileError(f"{name}:{at}: exactly one start state required")
     try:
         return Dfa(
             name=name,
-            alphabet=tuple(alphabet),
-            states=tuple(sections["states"]),
+            alphabet=alphabet,
+            states=fields["states"][1],
             start=starts[0],
-            accept=frozenset(sections["accept"]),
+            accept=frozenset(fields["accept"][1]),
             transitions=transitions,
         )
     except ParameterError as exc:
@@ -110,8 +102,7 @@ def parse_dfa(text: str, name: str = "dfa") -> Dfa:
 
 
 def load_dfa(path) -> Dfa:
-    path = pathlib.Path(path)
-    return parse_dfa(path.read_text(), name=path.stem)
+    return parse_dfa(read_text(path), name=pathlib.Path(path).stem)
 
 
 def minimize(dfa: Dfa) -> Dfa:

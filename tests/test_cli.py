@@ -212,6 +212,56 @@ def test_compile_lt_window2_state_count(tmp_path, capsys):
     assert len(load_rule_table(out).states) == 1498
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["semigroup", "--dfa", "{dir}"],
+        ["compile", "lt", "--spec", "{dir}", "--out", "{tmp}/x.tbl"],
+        ["compile", "slt", "--spec", "{dir}", "--out", "{tmp}/x.tbl"],
+        ["fit", "--csv", "{dir}", "--bound", "const", "--ceiling", "1"],
+        ["run", "{dir}", "--input", "0"],
+        ["compile", "lt", "--spec", "{tmp}/lets-dir.lt", "--out", "{tmp}/x.tbl"],
+    ],
+    ids=["semigroup", "compile-lt", "compile-slt", "fit", "run", "let-names-dir"],
+)
+def test_unreadable_paths_exit_2_with_one_error_line(tmp_path, capsys, argv):
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "lets-dir.lt").write_text("# a directory, not a scanner\nlet z = dir\nz\n")
+    code = main([arg.format(dir=tmp_path / "dir", tmp=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    if "let-names-dir" in str(argv):
+        assert err.startswith("error: lets-dir:2: cannot read "), err
+
+
+@pytest.mark.parametrize(
+    "expression, code",
+    [
+        ("(not " * 2000 + "z" + ")" * 2000, 2),  # too deep to parse
+        ("(and z " * 600 + "z" + ")" * 600, 2),  # parses, but too deep to evaluate
+        ("(not " * 101 + "z" + ")" * 101, 2),
+        ("(not " * 100 + "z" + ")" * 100, 0),  # at the bound
+    ],
+    ids=["not-2000", "and-600", "not-101", "not-100"],
+)
+def test_compile_lt_refuses_deep_nesting(tmp_path, capsys, expression, code):
+    (tmp_path / "all0.scan").write_text(SCANNER_ALL0)
+    spec = tmp_path / "deep.lt"
+    spec.write_text("let z = all0.scan\n" + expression + "\n")
+    out = tmp_path / "deep.tbl"
+    assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == code
+    if code:
+        assert capsys.readouterr().err == (
+            "error: deep: expression nests deeper than 100 levels\n"
+        )
+    else:
+        capsys.readouterr()
+        # an even number of negations: the words that are all zeros
+        assert main(["run", str(out), "--decider", "--input", "000"]) == 0
+        assert main(["run", str(out), "--decider", "--input", "010"]) == 1
+
+
 def test_semigroup_command(tmp_path, capsys):
     parity = tmp_path / "parity.dfa"
     parity.write_text(DFA_PARITY)

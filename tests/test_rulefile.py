@@ -19,6 +19,7 @@ from acaw import (
     global_step,
     load_rule_table,
     parse_dfa,
+    parse_lt_expression,
     parse_rule_table,
     parse_scanner,
     run_acceptor,
@@ -212,10 +213,15 @@ def test_malformed_tables_rejected(mutation):
         (parse_rule_table, "# heading\n\n" + MINIMAL.replace("center", "sideways"), 7),
         (parse_scanner, "k: 1\nnu: 0\n", 2),
         (parse_dfa, "alphabet: 0\nstates: a\n\nstates a\n", 4),
+        (parse_dfa, "alphabet: 0\n# a comment\nflavor: sour\n", 3),
+        (parse_scanner, "k: 1\nalphabet: 0\n\nk: 2\n", 4),
+        (lambda text, name: parse_lt_expression(text, where=name),
+         "# bindings\nlet z all0.scan\nz\n", 2),
     ],
 )
 def test_line_errors_carry_name_and_line(parse, text, lineno):
-    """All three ``key: values`` parsers report a bad line as name:lineno."""
+    """All four formats, the three ``key: values`` ones and LT expressions,
+    report a bad line as name:lineno."""
     with pytest.raises(RuleFileError, match=rf"^bad:{lineno}: "):
         parse(text, name="bad")
 
