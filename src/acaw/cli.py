@@ -22,13 +22,14 @@ from .core import (
     run_decider,
 )
 from .localtests import (
+    SCANNER_KEYS,
     compile_lt_to_daca,
     compile_slt_union_to_aca,
     load_lt_expression,
     load_scanner,
     tabulate_by_observation,
 )
-from .rulefile import RuleFileError, load_rule_table
+from .rulefile import RuleFileError, file_lines, load_rule_table, read_text
 from .semigroups import idempotents, is_locally_testable, load_dfa, syntactic_semigroup
 from .words import debruijn_contract
 from .zoo import FAMILIES, ORACLES, TABLE_SOURCES, ZOO, zoo_automaton
@@ -144,13 +145,26 @@ def _cmd_fit(args) -> int:
     return EXIT_FAIL
 
 
+def _names_scanner_keys(path) -> bool:
+    """Whether some line of ``path`` is a ``key:`` line with a scanner key."""
+    lines = (line.partition(":") for _, line in file_lines(read_text(path)))
+    return any(sep and key.strip() in SCANNER_KEYS for key, sep, _ in lines)
+
+
 def _cmd_compile(args) -> int:
     path = pathlib.Path(args.spec)
     if args.kind == "slt":
         try:
             scanners = [load_scanner(path)]
-        except RuleFileError:
-            expr = load_lt_expression(path)
+        except RuleFileError as scanner_error:
+            # Not a scanner, so read it as a union expression; but a file that
+            # uses scanner keys gets the scanner's error, which names its fault.
+            try:
+                expr = load_lt_expression(path)
+            except RuleFileError:
+                if _names_scanner_keys(path):
+                    raise scanner_error from None
+                raise
             if any(node.op not in ("or", "scanner") for node in expr.nodes()):
                 raise ParameterError(
                     f"{path}: slt compilation needs a scanner file or a pure union"

@@ -159,11 +159,9 @@ def render_configuration(config: Iterable[Any]) -> str:
 def initial_configuration(automaton: Automaton, word: Iterable[str]) -> tuple:
     symbols = tuple(word)
     alphabet = set(automaton.input_alphabet)
-    for s in symbols:
-        if s not in alphabet:
-            raise AlphabetError(
-                f"{automaton.name}: input symbol {s!r} is not in the alphabet"
-            )
+    if not alphabet.issuperset(symbols):
+        bad = next(s for s in symbols if s not in alphabet)
+        raise AlphabetError(f"{automaton.name}: input symbol {bad!r} is not in the alphabet")
     return symbols
 
 
@@ -297,63 +295,65 @@ def observe(
     return list(map(runner.objs.__getitem__, order)), rows
 
 
+class _States(dict):
+    """State -> id, the border first as 0.  A new state gets the next id and
+    has its faces evaluated, once, into ``acc`` and ``rej`` (by id)."""
+
+    def __init__(self, accepting: Callable, rejecting: Optional[Callable]):
+        super().__init__({INACTIVE: 0})
+        self.accepting, self.rejecting = accepting, rejecting
+        self.objs: list = [INACTIVE]
+        self.acc = [False]  # the border is neither
+        self.rej = [False]
+
+    def __missing__(self, state: Any) -> int:
+        acc = bool(self.accepting(state))
+        rej = bool(self.rejecting(state)) if self.rejecting else False
+        sid = self[state] = len(self.objs)
+        self.objs.append(state)
+        self.acc.append(acc)
+        self.rej.append(rej)
+        return sid
+
+
+class _Memo(dict):
+    """(left, centre, right) state ids -> the rule's output id.  A missing
+    triple calls the rule, interns and checks the output, and stores it."""
+
+    def __init__(self, name: str, rule: Callable, states: _States):
+        super().__init__()
+        self.name, self.rule, self.states = name, rule, states
+
+    def __missing__(self, key: tuple) -> int:
+        z1, z2, z3 = key
+        objs = self.states.objs
+        rid = self.states[self.rule(objs[z1], objs[z2], objs[z3])]
+        if not rid:  # INACTIVE, the border's id
+            raise AlphabetError(f"{self.name}: rule drove an active cell inactive")
+        self[key] = rid
+        return rid
+
+
 class _Runner:
     """Per-machine cache: states interned to ints, the rule memoized on triples.
 
-    Configurations are tuples of state ids.  A step looks up every cell's
-    (left, centre, right) triple in one C-level ``map`` over ``table.get``
-    and runs a Python miss pass only when some lookup missed.  The only
-    caller of a machine's rule (``_miss`` and ``outputs``) and faces
-    (``intern``).  It keeps those callables rather than the machine, so that
-    the machine, the weak key of ``_RUNNERS``, can be freed.
+    Configurations are tuples of state ids.  A step is one C-level ``map`` of
+    the memo's ``__getitem__`` over the cells' (left, centre, right) triples;
+    a new triple reaches ``_Memo.__missing__``, which calls the rule.  The
+    memo and ``outputs`` are the only callers of a machine's rule, and the
+    interner (``intern``) of its faces.  They keep those callables, not the
+    machine, so the machine (a weak key of ``_RUNNERS``) can be freed.
     """
 
     def __init__(self, automaton: Automaton):
-        self.name = automaton.name
         self.rule = automaton.rule
-        self.accepting = automaton.accepting
-        self.rejecting = automaton.rejecting
-        self.objs: list = [INACTIVE]
-        self.ids: dict = {INACTIVE: 0}
-        self.table: dict = {}
-        self.acc = [False]  # by state id; the border is neither
-        self.rej = [False]
-
-    def intern(self, state: Any) -> int:
-        sid = self.ids.get(state)
-        if sid is None:
-            sid = len(self.objs)
-            self.ids[state] = sid
-            self.objs.append(state)
-            self.acc.append(bool(self.accepting(state)))
-            self.rej.append(bool(self.rejecting(state)) if self.rejecting else False)
-        return sid
+        states = _States(automaton.accepting, automaton.rejecting)
+        self.table = _Memo(automaton.name, automaton.rule, states)
+        self.intern = states.__getitem__
+        self.objs, self.acc, self.rej = states.objs, states.acc, states.rej
 
     def step(self, config: tuple) -> tuple:
-        left, right = (0,) + config, config[1:] + (0,)
-        out = tuple(map(self.table.get, zip(left, config, right)))
-        if None in out:
-            out = list(out)
-            for i, new in enumerate(out):
-                if new is None:
-                    out[i] = self._miss((left[i], config[i], right[i]))
-            out = tuple(out)
-        return out
-
-    def _miss(self, key: tuple) -> int:
-        # Two cells of one step can share a triple that missed; the first
-        # one's call fills the memo for the second.
-        rid = self.table.get(key)
-        if rid is None:
-            z1, z2, z3 = key
-            res = self.rule(self.objs[z1], self.objs[z2], self.objs[z3])
-            rid = self.ids.get(res)
-            if rid is None:
-                rid = self.intern(res)
-            elif rid == 0:  # INACTIVE, the border's id since the runner was made
-                raise AlphabetError(f"{self.name}: rule drove an active cell inactive")
-            self.table[key] = rid
-        return rid
+        return tuple(map(self.table.__getitem__, zip((0,) + config, config, config[1:] + (0,))))
 
     def outputs(self, triples: Iterable[tuple]) -> list:
         """The rule on each triple of states, memoizing none (``validate``'s walk)."""

@@ -485,10 +485,12 @@ def aca_to_daca(acceptor: Automaton, t_const: int) -> Automaton:
 # compilers all recurse once per level.
 _MAX_NESTING = 100
 
+SCANNER_KEYS = ("k", "alphabet", "pi", "sigma", "mu")
+
 
 def parse_scanner(text: str, name: str = "scanner") -> Scanner:
     """Parse the scanner file format: k, alphabet, pi, sigma, mu directives."""
-    fields, _ = read_directives(text, name, ("k", "alphabet", "pi", "sigma", "mu"))
+    fields, _ = read_directives(text, name, SCANNER_KEYS)
     at, k = fields["k"]
     try:
         (k,) = map(int, k)

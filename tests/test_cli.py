@@ -169,6 +169,15 @@ def test_compile_slt_rejects_non_union(tmp_path):
                  "--out", str(tmp_path / "x.tbl")]) == 2
 
 
+def test_compile_slt_reports_the_scanner_error(tmp_path, capsys):
+    # A broken scanner file is not an expression either; report the scanner's fault.
+    spec = tmp_path / "s.scan"
+    spec.write_text("k: 2\nalphabet: 0 1\nsigma: 01\n")
+    assert main(["compile", "slt", "--spec", str(spec),
+                 "--out", str(tmp_path / "x.tbl")]) == 2
+    assert capsys.readouterr().err == "error: s: missing 'pi:' line\n"
+
+
 def test_compile_lt_decider(tmp_path, capsys):
     (tmp_path / "all0.scan").write_text(SCANNER_ALL0)
     spec = tmp_path / "someone.lt"

@@ -49,6 +49,8 @@ def test_initial_configuration_checks_alphabet():
     assert initial_configuration(a, "0110") == ("0", "1", "1", "0")
     with pytest.raises(AlphabetError):
         initial_configuration(a, "01x")
+    with pytest.raises(AlphabetError, match=r"^shift: input symbol 'x' is not in the alphabet$"):
+        initial_configuration(a, "01" * 25_000 + "x" + "1")
 
 
 def test_global_step_shifts():
@@ -135,6 +137,51 @@ def test_rule_output_inactive_is_refused_after_misses_and_hits():
         with pytest.raises(AlphabetError, match=message):
             global_step(machine, ("1", "1", "1", "1", "1"))
     assert calls[4:] == [(q, "1", "1")] * 2
+
+
+def test_rule_error_inside_a_step_propagates_and_is_not_memoized():
+    """A rule that raises on one triple in the middle of a configuration: the
+    error leaves run_acceptor as raised, and the triple is never memoized."""
+    calls, raised = [], []
+
+    def fails_on_101(left, center, right):
+        calls.append((left, center, right))
+        if (left, center, right) == ("1", "0", "1"):
+            raised.append(ValueError("no rule for 1 0 1"))
+            raise raised[-1]
+        return center
+
+    machine = set_automaton("fails", ("0", "1"), fails_on_101, accept_states=("1",))
+    with pytest.raises(ValueError) as excinfo:
+        run_acceptor(machine, "00101")
+    assert excinfo.value is raised[0]
+    q = INACTIVE
+    assert calls == [(q, "0", "0"), ("0", "0", "1"), ("0", "1", "0"), ("1", "0", "1")]
+    with pytest.raises(ValueError):
+        global_step(machine, ("0", "0", "1", "0", "1"))
+    assert calls[4:] == [("1", "0", "1")]  # the cells before it hit the memo
+
+
+def test_faces_are_evaluated_once_per_state():
+    """Runs and classify call each face once per distinct state, however
+    often the state recurs."""
+    faces = []
+
+    def count(face, holds):
+        def test(state):
+            faces.append((face, state))
+            return holds(state)
+
+        return test
+
+    machine = Automaton(
+        "ladder", ("0", "1"), lambda left, center, right: {"0": "1"}.get(center, "2"),
+        accepting=count("acc", "2".__eq__), rejecting=count("rej", "x".__eq__),
+    )
+    assert run_decider(machine, "0110").steps == 2
+    assert run_decider(machine, "1001").steps == 2
+    assert classify(machine, ("3", "2", "3")) is None
+    assert sorted(faces) == sorted((face, s) for face in ("acc", "rej") for s in "0123")
 
 
 def test_configurations_yields_step_zero_and_stops_on_cycle():
