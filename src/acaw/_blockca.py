@@ -30,6 +30,10 @@ The moving parts, all living in per-cell registers:
   is the step when every cell is ok, which lands at 3b+3 steps or earlier
   for members with block length b.
 
+A cell that is ``dead`` and not ``ok`` never accepts again, as ``dead`` is
+never cleared and ``ok`` changes only under ``not dead``: the acceptors'
+``doomed`` face, at which untraced runs stop.
+
 The decider variant adds a census that makes rejection timely without a
 single extra signal: each block's first cell gets a marker at step 1; every
 sixth step the markers hop one cell right, soiling when they leave a 1.  At
@@ -231,6 +235,10 @@ def _accepting_decider(state) -> bool:
     return isinstance(state, BCell) and state.ok and state.phase != 1
 
 
+def _doomed_acceptor(state) -> bool:
+    return isinstance(state, BCell) and state.dead and not state.ok
+
+
 def _rejecting_decider(state) -> bool:
     return (
         isinstance(state, BCell)
@@ -248,4 +256,5 @@ def block_automaton(name: str, compare: str, decider: bool) -> Automaton:
         accepting=_accepting_decider if decider else _accepting_acceptor,
         rejecting=_rejecting_decider if decider else None,
         states=None,
+        doomed=None if decider else _doomed_acceptor,
     )

@@ -151,20 +151,26 @@ def _names_scanner_keys(path) -> bool:
     return any(sep and key.strip() in SCANNER_KEYS for key, sep, _ in lines)
 
 
+def _load_expression(path: pathlib.Path, scanner_error: RuleFileError):
+    """``path`` read as an LT expression.  A file that fails to parse as one
+    but has scanner keys raises ``scanner_error`` instead."""
+    try:
+        return load_lt_expression(path)
+    except RuleFileError:
+        if _names_scanner_keys(path):
+            raise scanner_error from None
+        raise
+
+
 def _cmd_compile(args) -> int:
     path = pathlib.Path(args.spec)
     if args.kind == "slt":
         try:
             scanners = [load_scanner(path)]
         except RuleFileError as scanner_error:
-            # Not a scanner, so read it as a union expression; but a file that
-            # uses scanner keys gets the scanner's error, which names its fault.
-            try:
-                expr = load_lt_expression(path)
-            except RuleFileError:
-                if _names_scanner_keys(path):
-                    raise scanner_error from None
-                raise
+            # Not a scanner, so read it as a union expression; a broken
+            # scanner file gets the scanner's error, which names its fault.
+            expr = _load_expression(path, scanner_error)
             if any(node.op not in ("or", "scanner") for node in expr.nodes()):
                 raise ParameterError(
                     f"{path}: slt compilation needs a scanner file or a pure union"
@@ -173,7 +179,10 @@ def _cmd_compile(args) -> int:
         machine = compile_slt_union_to_aca(scanners)
         gather = max(s.k for s in scanners)
     else:
-        expr = load_lt_expression(path)
+        expr = _load_expression(path, RuleFileError(
+            f"{path.stem}: {path.name} is a scanner, not an LT expression; compile it"
+            f" with 'acaw compile slt', or bind it in an expression: 'let NAME = {path.name}'"
+        ))
         machine = compile_lt_to_daca(expr)
         gather = expr.window
     text = tabulate_by_observation(machine, probe_len=gather + 4, name=path.stem)

@@ -86,6 +86,11 @@ class Automaton:
     ``None`` (they cannot be validated exhaustively or saved to rule files).
     Machines compare and hash by identity, so looking one up costs the same
     whatever the size of ``states``.
+
+    ``doomed``, an optional face, may hold only for a state that does not
+    accept and that the rule maps to doomed states whatever its neighbours.
+    Untraced acceptor runs use it, and stop as a timeout once a cell is
+    doomed; traced runs and deciders ignore it.
     """
 
     name: str
@@ -98,6 +103,7 @@ class Automaton:
     # input length record that constant here; the run helpers widen the
     # default step budget to cover it.  None means no such promise.
     time_bound: Optional[int] = None
+    doomed: Optional[Callable[[Any], bool]] = None
 
     @property
     def is_decider(self) -> bool:
@@ -297,22 +303,21 @@ def observe(
 
 class _States(dict):
     """State -> id, the border first as 0.  A new state gets the next id and
-    has its faces evaluated, once, into ``acc`` and ``rej`` (by id)."""
+    has its faces evaluated, once, into ``acc``, ``rej`` and ``doom`` (by id);
+    a face the machine lacks reads False."""
 
-    def __init__(self, accepting: Callable, rejecting: Optional[Callable]):
+    def __init__(self, automaton: Automaton):
         super().__init__({INACTIVE: 0})
-        self.accepting, self.rejecting = accepting, rejecting
+        self.faces = automaton.accepting, automaton.rejecting, automaton.doomed
         self.objs: list = [INACTIVE]
-        self.acc = [False]  # the border is neither
-        self.rej = [False]
+        self.acc, self.rej, self.doom = self.columns = [False], [False], [False]
 
     def __missing__(self, state: Any) -> int:
-        acc = bool(self.accepting(state))
-        rej = bool(self.rejecting(state)) if self.rejecting else False
+        row = [face is not None and bool(face(state)) for face in self.faces]
         sid = self[state] = len(self.objs)
         self.objs.append(state)
-        self.acc.append(acc)
-        self.rej.append(rej)
+        for column, value in zip(self.columns, row):
+            column.append(value)
         return sid
 
 
@@ -347,10 +352,11 @@ class _Runner:
 
     def __init__(self, automaton: Automaton):
         self.rule = automaton.rule
-        states = _States(automaton.accepting, automaton.rejecting)
+        states = _States(automaton)
         self.table = _Memo(automaton.name, automaton.rule, states)
         self.intern = states.__getitem__
         self.objs, self.acc, self.rej = states.objs, states.acc, states.rej
+        self.doom = states.doom if automaton.doomed else None
 
     def step(self, config: tuple) -> tuple:
         return tuple(map(self.table.__getitem__, zip((0,) + config, config, config[1:] + (0,))))
@@ -424,15 +430,20 @@ def _run(
 ) -> Verdict:
     runner, config, max_steps = _start(automaton, word, max_steps)
     raw_configs = []
+    # Doom is successor-closed, so looking only at steps 0, 1, 2, 4, ... stops
+    # a hopeless run at most twice as late, with no scan at every step.
+    doom = None if collect_trace or want_reject else runner.doom
     for steps, config in enumerate(_evolve(runner, config, max_steps)):
         if collect_trace:
             raw_configs.append(tuple(map(runner.objs.__getitem__, config)))
         outcome = runner.finality(config, want_reject)
-        if outcome is not None:
+        if outcome is not None or (
+            doom and not steps & (steps - 1) and any(map(doom.__getitem__, config))
+        ):
             break
-    else:
-        # The budget ran out, or a repeat pinned the future orbit to
-        # configurations already classified as non-final.
+    if outcome is None:
+        # The budget ran out, a repeat pinned the future orbit to non-final
+        # configurations already classified, or a doomed cell bars acceptance.
         outcome, steps = TIMEOUT, None
     trace = Trace(automaton, tuple(raw_configs)) if collect_trace else None
     return Verdict(outcome, steps, trace)

@@ -54,6 +54,21 @@ def test_run_timeout_with_trace(capsys):
     assert lines[-1] == "timeout"
 
 
+def test_run_hopeless_acceptor_word_prints_the_full_trace(capsys):
+    # An untraced run stops at a doomed cell; a traced one still runs to the cycle.
+    assert main(["run", "zoo:idmat", "--input", "##0##"]) == 3
+    assert capsys.readouterr().out == "timeout\n"
+    assert main(["run", "zoo:idmat", "--input", "##0##", "--trace"]) == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "q # # 0 # # q",
+        "q X X 0 X X q",
+        "q X X 0 X X q",
+        "q X X 00 X X q",
+        *["q X X 0* X X q"] * 4,
+        "timeout",
+    ]
+
+
 def test_run_decider_verdicts(capsys):
     assert main(["run", "zoo:someone", "--decider", "--input", "000000"]) == 1
     assert capsys.readouterr().out.strip() == "reject 1"
@@ -176,6 +191,17 @@ def test_compile_slt_reports_the_scanner_error(tmp_path, capsys):
     assert main(["compile", "slt", "--spec", str(spec),
                  "--out", str(tmp_path / "x.tbl")]) == 2
     assert capsys.readouterr().err == "error: s: missing 'pi:' line\n"
+
+
+def test_compile_lt_names_a_scanner_file(tmp_path, capsys):
+    spec = tmp_path / "pair.scan"
+    spec.write_text(SCANNER_PAIR)
+    assert main(["compile", "lt", "--spec", str(spec),
+                 "--out", str(tmp_path / "x.tbl")]) == 2
+    assert capsys.readouterr().err == (
+        "error: pair: pair.scan is a scanner, not an LT expression; compile it"
+        " with 'acaw compile slt', or bind it in an expression: 'let NAME = pair.scan'\n"
+    )
 
 
 def test_compile_lt_decider(tmp_path, capsys):

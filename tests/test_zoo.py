@@ -1,7 +1,9 @@
 """Built-in machines: frozen traces, exact step counts, soundness, witnesses."""
 
+import dataclasses
 import hashlib
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -20,6 +22,7 @@ from acaw import (
     witness_word,
     zoo_automaton,
 )
+from acaw import core
 from acaw.zoo import (
     generate_bin,
     generate_idmat,
@@ -116,6 +119,60 @@ def test_block_machines_full_state_digest():
     assert digest.hexdigest() == (
         "b9602f66def554eaa5642fc00b40312a5ccb722d8a2d00fd364227c435c5ed3c"
     )
+
+
+def ternary_words(max_len):
+    return [w for n in range(1, max_len + 1) for w in itertools.product("01#", repeat=n)]
+
+
+@pytest.mark.parametrize("family", ["idmat", "bin"])
+def test_doomed_face_is_successor_closed_on_reached_triples(family):
+    """No doomed state accepts, and every triple the runs stepped whose centre
+    is doomed has a doomed output, whatever its flanks."""
+    machine = FAMILIES[family].acceptor()
+    for word in ternary_words(7):
+        run_acceptor(machine, word)
+    runner = core._runner_for(machine)
+    doom, acc = runner.doom, runner.acc
+    assert not any(d and a for d, a in zip(doom, acc))
+    doomed_centres = [(key, out) for key, out in runner.table.items() if doom[key[1]]]
+    assert len(doomed_centres) > 100
+    assert all(doom[out] for _, out in doomed_centres)
+
+
+@pytest.mark.parametrize("family", ["idmat", "bin"])
+def test_doomed_stop_keeps_every_verdict_and_step(family):
+    machine = FAMILIES[family].acceptor()
+    blind = dataclasses.replace(machine, doomed=None)
+    rng = random.Random(2024)
+    words = ternary_words(7) + [FAMILIES[family].generate(k) for k in range(1, 6)]
+    words += ["".join(rng.choices("01#", k=rng.randint(10, 40))) for _ in range(300)]
+    for word in words:
+        seen, want = run_acceptor(machine, word), run_acceptor(blind, word)
+        assert (seen.kind, seen.steps) == (want.kind, want.steps), word
+
+
+def corrupt(word, pos, sym):
+    return word[:pos] + sym + word[pos + 1 :]
+
+
+@pytest.mark.parametrize("family, word", [
+    ("idmat", "##" * 20),
+    ("idmat", corrupt(generate_idmat(5), 28, "0")),
+    ("idmat", corrupt(generate_idmat(6), 20, "0")),
+    ("idmat", corrupt(generate_idmat(7), 54, "0")),
+    ("bin", corrupt(generate_bin(5), 95, "0")),
+], ids=["separators", "idmat5", "idmat6", "idmat7", "bin5"])
+def test_untraced_run_stops_within_twice_the_first_doomed_step(family, word, monkeypatch):
+    machine = FAMILIES[family].acceptor()
+    traced = run_acceptor(machine, word, collect_trace=True).trace.configurations
+    first = next(t for t, config in enumerate(traced) if any(map(machine.doomed, config)))
+    steps = []
+    step = core._Runner.step
+    monkeypatch.setattr(core._Runner, "step", lambda self, config: steps.append(config)
+                        or step(self, config))
+    assert run_acceptor(machine, word).kind == TIMEOUT
+    assert first <= len(steps) <= 2 * first < len(traced) - 1
 
 
 def test_idmat_decider_is_total_and_fast_on_corruptions():
