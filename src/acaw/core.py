@@ -189,6 +189,14 @@ def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
     return runner.finality(tuple(map(runner.intern, config)), automaton.is_decider)
 
 
+def face_bits(automaton: Automaton, states: Iterable[Any]) -> tuple[list, list]:
+    """The states' accept bits and reject bits (all False for an acceptor), as
+    two lists read from the interner, so each state's faces run only once."""
+    runner = _runner_for(automaton)
+    ids = list(map(runner.intern, states))
+    return list(map(runner.acc.__getitem__, ids)), list(map(runner.rej.__getitem__, ids))
+
+
 def configurations(
     automaton: Automaton, word: Iterable[str], max_steps: Optional[int] = None
 ) -> Iterator[tuple]:
@@ -223,17 +231,16 @@ def validate(automaton: Automaton) -> Iterator[tuple[tuple, Any]]:
     for a in automaton.input_alphabet:
         if a not in state_set:
             raise AlphabetError(f"{automaton.name}: input symbol {a!r} not a state")
-    runner = _runner_for(automaton)
-    ids = [runner.intern(s) for s in states]
-    for s, sid in zip(states, ids):
-        if runner.acc[sid] and runner.rej[sid]:
+    accepts, rejects = face_bits(automaton, states)
+    for s, accept, reject in zip(states, accepts, rejects):
+        if accept and reject:
             raise AlphabetError(f"{automaton.name}: state {s!r} both accepts and rejects")
-    if not any(runner.acc[sid] for sid in ids):
+    if not any(accepts):
         raise AlphabetError(f"{automaton.name}: no listed state accepts")
-    if automaton.is_decider and not any(runner.rej[sid] for sid in ids):
+    if automaton.is_decider and not any(rejects):
         raise AlphabetError(f"{automaton.name}: no listed state rejects")
     flanks = states + (INACTIVE,)
-    outputs = runner.outputs(itertools.product(flanks, states, flanks))
+    outputs = _runner_for(automaton).outputs(itertools.product(flanks, states, flanks))
     pairs = zip(itertools.product(flanks, states, flanks), outputs)
     if not state_set.issuperset(outputs):
         (z1, z2, z3), out = next(pair for pair in pairs if pair[1] not in state_set)

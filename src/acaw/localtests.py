@@ -38,7 +38,9 @@ from .core import (
     global_step,  # unused here; benchmarks/tracing.py wraps this module attribute
     observe,
 )
-from .rulefile import RuleFileError, file_lines, read_directives, read_text, serialize_rules
+from .rulefile import (
+    RuleFileError, face_lists, file_lines, read_directives, read_text, serialize_rules,
+)
 from .words import profile
 
 
@@ -605,7 +607,11 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
 
     :func:`acaw.core.observe` runs the probes; this names its states by
     position (input symbols by themselves, the rest ``s0, s1, ...`` in
-    first-seen order) and writes its rows sorted by name.
+    first-seen order) and writes its rows sorted by name.  Like
+    :func:`~acaw.rulefile.save_rule_table`, it refuses through
+    :func:`~acaw.rulefile.face_lists` a table that would not load: colliding
+    names (an input symbol named ``s0``), an empty accept set, or a
+    decider's empty reject set.
     """
     if probe_len < 1:
         raise ParameterError("probe length must be >= 1")
@@ -629,20 +635,5 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
     label = dict(enumerate(names))
     label[None] = "q"
     rows = sorted(zip(*[map(label.__getitem__, column) for column in zip(*rows)]))
-    accept = [n for n, s in zip(names, states) if automaton.accepting(s)]
-    if not accept:
-        raise RuleFileError(
-            f"{automaton.name}: no reachable accepting state up to probe length"
-            f" {probe_len}; the table format cannot express an empty accept set"
-        )
-    reject = None
-    if automaton.is_decider:
-        reject = [n for n, s in zip(names, states) if automaton.rejecting(s)]
-    return serialize_rules(
-        name or automaton.name,
-        alphabet,
-        names,
-        accept,
-        reject,
-        rows,
-    )
+    accept, reject = face_lists(automaton, states, names)
+    return serialize_rules(name or automaton.name, alphabet, names, accept, reject, rows)

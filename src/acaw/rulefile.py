@@ -31,7 +31,7 @@ from __future__ import annotations
 import pathlib
 from typing import Iterable, Iterator, Optional
 
-from .core import INACTIVE, AcawError, Automaton, validate
+from .core import INACTIVE, AcawError, Automaton, face_bits, set_automaton, validate
 
 _RESERVED = {"q", "*", "->"}
 
@@ -41,28 +41,22 @@ class RuleFileError(AcawError):
 
 
 class _TableRule:
-    """First-match-wins rule rows, indexed once; the engine's runner memoizes calls.
+    """First-match-wins rule rows; the engine's runner memoizes calls.
 
-    An exact row (no ``*``) is keyed by its triple unless an earlier row
-    matches that triple; wildcard rows keep file order.  A call tries the
-    key, then the first matching wildcard row, then the default.  Rows hold
+    :func:`parse_rule_table` indexes the rows as it checks them: an exact
+    row (no ``*``) is keyed by its triple unless an earlier row matches
+    that triple; wildcard rows keep file order.  A call tries the key, then
+    the first matching wildcard row, then the default.  Rows hold
     :data:`INACTIVE` where the file says ``q``, so a call matches the
     engine's flanks as they come.
     """
 
     __slots__ = ("name", "exact", "wild", "default_center")
 
-    def __init__(self, name: str, rows: Iterable[tuple[str, ...]], default_center: bool):
-        self.name = name
-        self.default_center = default_center
-        self.exact: dict[tuple, str] = {}
+    def __init__(self, name: str, default_center: bool):
+        self.name, self.default_center = name, default_center
+        self.exact: dict[tuple, str] = {}  # filled by parse_rule_table
         self.wild: list[tuple[tuple, str]] = []
-        for x, y, z, _, w in rows:
-            pattern = (INACTIVE if x == "q" else x, y, INACTIVE if z == "q" else z)
-            if "*" in pattern:
-                self.wild.append((pattern, w))
-            elif self._wild_match(*pattern) is None:
-                self.exact.setdefault(pattern, w)
 
     def _wild_match(self, z1, z2, z3) -> Optional[str]:
         for (x, y, z), w in self.wild:
@@ -175,6 +169,8 @@ def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
     if reject is not None and set(accept) & set(reject):
         raise RuleFileError(f"{name}:{at_reject}: accept and reject sets overlap")
 
+    rule = _TableRule(name, default == ("center",))
+    exact, wild = rule.exact, rule.wild
     flank_ok = state_set | {"q", "*"}
     centre_ok = state_set | {"*"}
     for at, tokens in rule_rows:
@@ -189,19 +185,14 @@ def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
             raise RuleFileError(f"{name}:{at}: bad centre in rule {x, y, z, w}")
         if w not in state_set:
             raise RuleFileError(f"{name}:{at}: rule output {w!r} is not a state")
+        pattern = (INACTIVE if x == "q" else x, y, INACTIVE if z == "q" else z)
+        if "*" in pattern:
+            wild.append((pattern, w))
+        elif not wild or rule._wild_match(*pattern) is None:
+            exact.setdefault(pattern, w)
 
-    rows = [tokens for _, tokens in rule_rows]
-    accept_set = frozenset(accept)
-    reject_set = frozenset(reject) if reject is not None else None
-    automaton = Automaton(
-        name=name,
-        input_alphabet=alphabet,
-        rule=_TableRule(name, rows, default == ("center",)),
-        accepting=accept_set.__contains__,
-        rejecting=reject_set.__contains__ if reject_set is not None else None,
-        states=states,
-    )
-    if default == ("none",) and _has_gap(states, rows):
+    automaton = set_automaton(name, alphabet, rule, accept, reject, states)
+    if default == ("none",) and _has_gap(states, (tokens for _, tokens in rule_rows)):
         validate(automaton)  # the rule raises on the first triple no row covers
     return automaton
 
@@ -269,11 +260,37 @@ def serialize_rules(
     return "\n".join(lines) + "\n"
 
 
+def face_lists(
+    automaton: Automaton, states: Iterable, names: list[str]
+) -> tuple[list[str], Optional[list[str]]]:
+    """The ``accept:`` and ``reject:`` lists for ``states`` written as ``names``.
+
+    The reject list is None for an acceptor.  The bits come from
+    :func:`~acaw.core.face_bits`, so no face runs again.  Raises
+    :class:`RuleFileError` on what would not load: colliding names, an empty
+    accept set, and a decider's empty reject set.
+    """
+    if len(set(names)) != len(names):
+        raise RuleFileError(f"{automaton.name}: state names collide when rendered")
+    accepts, rejects = face_bits(automaton, states)
+    accept = [n for n, bit in zip(names, accepts) if bit]
+    reject = [n for n, bit in zip(names, rejects) if bit] if automaton.is_decider else None
+    for label, listed in (("accept", accept), ("reject", reject)):
+        if listed is not None and not listed:
+            raise RuleFileError(
+                f"{automaton.name}: none of the {len(names)} states to write is in the"
+                f" {label} set; the table format cannot express an empty {label} set"
+            )
+    return accept, reject
+
+
 def save_rule_table(automaton: Automaton) -> str:
     """Render an enumerated machine to the file format.
 
-    The rows are the outputs that :func:`~acaw.core.validate` walks, so a
-    table this writes always loads.
+    The rows are the outputs that :func:`~acaw.core.validate` walks, and the
+    ``accept:`` and ``reject:`` lines come from :func:`face_lists`, which
+    refuses colliding names and an empty accept or reject set, so a table
+    this writes always loads.
     """
     if automaton.states is None:
         raise RuleFileError(
@@ -281,14 +298,9 @@ def save_rule_table(automaton: Automaton) -> str:
             " flat table form"
         )
     outputs = validate(automaton)
-    states = [str(s) for s in automaton.states]
-    if len(set(states)) != len(states):
-        raise RuleFileError(f"{automaton.name}: state names collide when rendered")
+    names = [str(s) for s in automaton.states]
+    accept, reject = face_lists(automaton, automaton.states, names)
     triples = [(str(z1), str(z2), str(z3), str(out)) for (z1, z2, z3), out in outputs]
-    accept = [n for n, s in zip(states, automaton.states) if automaton.accepting(s)]
-    reject = None
-    if automaton.rejecting is not None:
-        reject = [n for n, s in zip(states, automaton.states) if automaton.rejecting(s)]
     return serialize_rules(
-        automaton.name, automaton.input_alphabet, states, accept, reject, triples
+        automaton.name, automaton.input_alphabet, names, accept, reject, triples
     )

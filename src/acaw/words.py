@@ -13,17 +13,16 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
+    TIMEOUT,
     Automaton,
     BudgetError,
-    EmptyInputError,
     ModeError,
     ParameterError,
-    classify,
+    face_bits,
     global_step,
-    initial_configuration,
+    run_decider,
 )
 
 
@@ -186,41 +185,27 @@ def critical_contract(decider: Automaton, word: str, i: int) -> str:
     if i < 0:
         raise ParameterError("step budget must be non-negative")
 
-    def walk(w: str, steps: int) -> tuple[list[tuple], Optional[int]]:
-        """Configurations 0..steps and the first final step index among them."""
-        config = initial_configuration(decider, w)
-        if not config:
-            raise EmptyInputError(f"{decider.name}: no run on the empty word")
-        out = [config]
-        for t in range(steps + 1):
-            if classify(decider, config) is not None:
-                return out, t
-            if t == steps:
-                break
-            config = global_step(decider, config)
-            out.append(config)
-        return out, None
-
-    configs, decided_at = walk(word, i)
-    if decided_at is not None:
+    verdict = run_decider(decider, word, max_steps=i, collect_trace=True)
+    if verdict.kind != TIMEOUT:
         raise BudgetError(
-            f"{decider.name} decides {word!r} in {decided_at} steps; need more than {i}"
+            f"{decider.name} decides {word!r} in {verdict.steps} steps; need more than {i}"
         )
+    configs = verdict.trace.configurations
+    if len(configs) <= i:  # the run cycled: continue the orbit from the repeat
+        cycle = configs[configs.index(global_step(decider, configs[-1])) :]
+        configs += cycle * ((i + 1 - len(configs)) // len(cycle) + 1)
 
     n = len(word)
     keep: set[int] = set()
     for j in range(i + 1):
-        config = configs[j]
-        x = next(z for z in range(n) if not decider.accepting(config[z]))
-        y = next(z for z in range(n) if not decider.rejecting(config[z]))
-        for centre in (x, y):
+        accepts, rejects = face_bits(decider, configs[j])
+        for centre in (accepts.index(False), rejects.index(False)):
             keep.update(range(max(0, centre - j), min(n, centre + j + 1)))
 
     contracted = "".join(word[z] for z in sorted(keep))
     if len(contracted) > 2 * (i + 1) * (i + 1):
         raise AssertionError("kept more positions than the guaranteed bound")
 
-    _, early = walk(contracted, i)
-    if early is not None:
+    if run_decider(decider, contracted, max_steps=i).kind != TIMEOUT:
         raise AssertionError("contraction failed to preserve the step budget")
     return contracted

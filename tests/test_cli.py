@@ -1,8 +1,11 @@
 """The acaw command line: every subcommand, every exit code."""
 
 import itertools
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +346,17 @@ def test_installed_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "accept 1"
+
+
+@pytest.mark.parametrize("word, code, out", [("01", 0, "accept 1"), ("00", 3, "timeout")])
+def test_module_entry_point_exits_with_the_verdict_code(word, code, out):
+    """``python -m acaw.cli`` from a source checkout, no install needed."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(src), os.environ.get("PYTHONPATH")))
+    ))
+    proc = subprocess.run(
+        [sys.executable, "-m", "acaw.cli", "run", "zoo:pair01", "--input", word],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout.strip()) == (code, out)

@@ -492,6 +492,44 @@ def test_tabulate_errors():
         tabulate_by_observation(compile_slt_union_to_aca([]), probe_len=3)
 
 
+def test_tabulate_refuses_an_empty_reject_set():
+    """A decider whose reachable states never reject would be written with an
+    empty ``reject:`` line, which does not load."""
+    machine = set_automaton(
+        "never-rejects", ("0", "1"), lambda left, center, right: center,
+        {"0", "1"}, {"r"}, states=("0", "1", "r"),
+    )
+    with pytest.raises(RuleFileError, match="^never-rejects: .* empty reject set$"):
+        tabulate_by_observation(machine, probe_len=3)
+
+
+def test_tabulate_refuses_names_that_collide():
+    """An input symbol spelled like a structured state's name would be written
+    twice on the ``states:`` line (``s0 x s0 s1``), which does not load."""
+    machine = Automaton(
+        name="clash", input_alphabet=("s0", "x"),
+        rule=lambda left, center, right: center if isinstance(center, tuple) else (center,),
+        accepting=lambda state: isinstance(state, tuple),
+    )
+    with pytest.raises(RuleFileError, match="^clash: state names collide when rendered$"):
+        tabulate_by_observation(machine, probe_len=3)
+
+
+def test_tabulate_runs_the_accept_face_once_per_state():
+    calls = {}
+
+    def accepting(state):
+        calls[state] = calls.get(state, 0) + 1
+        return state == "a"
+
+    machine = Automaton(
+        name="counted", input_alphabet=BITS, rule=lambda left, center, right: "a",
+        accepting=accepting,
+    )
+    assert "accept: s0\n" in tabulate_by_observation(machine, probe_len=3)  # s0 is "a"
+    assert calls == {"0": 1, "1": 1, "a": 1}
+
+
 def test_tabulate_refuses_a_cycle_when_the_cycle_check_sees_it(monkeypatch):
     calls, steps = [], []
 

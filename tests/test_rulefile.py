@@ -65,6 +65,29 @@ def test_first_match_wins():
         assert global_step(parse_rule_table(text), ("0", "1", "0"))[1] == out, rows
 
 
+def test_rows_are_indexed_without_a_wildcard_scan_until_a_wildcard_row(monkeypatch):
+    """An exact row looks for an earlier matching wildcard row only once the
+    file has had one; the first-match outcome stays as before."""
+    scans = []
+    wild_match = rulefile._TableRule._wild_match
+    monkeypatch.setattr(
+        rulefile._TableRule, "_wild_match",
+        lambda rule, *triple: scans.append(triple) or wild_match(rule, *triple),
+    )
+    head = "alphabet: 0 1\nstates: 0 1 a b\naccept: a\n"
+    exact = ["0 1 0 -> b", "1 1 0 -> a", "0 1 0 -> a"]
+    text = head + "".join(f"rule: {row}\n" for row in exact) + "default: center\n"
+    machine = parse_rule_table(text)
+    assert scans == []
+    assert global_step(machine, ("0", "1", "0", "1", "1", "0")) == ("0", "b", "0", "1", "a", "0")
+    rows = ["0 1 0 -> b", "* 1 0 -> a", "0 1 0 -> a", "1 1 1 -> b"]
+    text = head + "".join(f"rule: {row}\n" for row in rows) + "default: center\n"
+    scans.clear()  # the step's rule calls scanned too
+    machine = parse_rule_table(text)
+    assert scans == [("0", "1", "0"), ("1", "1", "1")]  # the rows after the wildcard
+    assert global_step(machine, ("0", "1", "0", "1", "1", "0"))[1::3] == ("b", "a")
+
+
 def test_star_flank_matches_border_and_states():
     text = """\
 alphabet: 0
@@ -301,6 +324,37 @@ def test_save_refuses_tables_that_would_not_load(output, accept, reject):
         states=("0", "a"),
     )
     with pytest.raises(AlphabetError):
+        save_rule_table(machine)
+
+
+def test_save_runs_each_face_once_per_state():
+    calls = {"accept": {}, "reject": {}}
+
+    def face(label, states):
+        def call(state):
+            calls[label][state] = calls[label].get(state, 0) + 1
+            return state in states
+        return call
+
+    machine = Automaton(
+        name="counted", input_alphabet=("0",), rule=lambda left, center, right: "a",
+        accepting=face("accept", {"a"}), rejecting=face("reject", {"r"}),
+        states=("0", "a", "r"),
+    )
+    assert "accept: a\nreject: r\n" in save_rule_table(machine)
+    assert calls == {"accept": {"0": 1, "a": 1, "r": 1}, "reject": {"0": 1, "a": 1, "r": 1}}
+
+
+def test_save_refuses_colliding_names():
+    class Named:
+        def __str__(self):
+            return "a"
+
+    machine = Automaton(
+        name="twins", input_alphabet=("a",), rule=lambda left, center, right: center,
+        accepting=lambda state: True, states=("a", Named()),
+    )
+    with pytest.raises(RuleFileError, match="^twins: state names collide when rendered$"):
         save_rule_table(machine)
 
 

@@ -13,6 +13,7 @@ from acaw import (
     infix_set,
     lemma1_hypothesis,
     lemma7_hypothesis,
+    parse_rule_table,
     prefix_of,
     profile,
     run_acceptor,
@@ -134,6 +135,45 @@ def test_critical_contract_keeps_decision_slow():
         assert len(short) <= 2 * (i + 1) ** 2
         v = run_decider(dec, short)
         assert v.steps is None or v.steps > i
+
+
+# Every cell flips each step: the run repeats at step 2 and never decides.
+BLINKER = """\
+alphabet: 0 1
+states: 0 1 a r
+accept: a
+reject: r
+default: center
+rule: * 0 * -> 1
+rule: * 1 * -> 0
+"""
+# Every cell counts 0 -> 1 -> 2 -> 0 after leaving s: the run repeats step 1
+# at step 4, and the leftmost cells that do not accept (1) or reject (2)
+# move as it cycles.
+COUNTER = """\
+alphabet: s 0 1 2
+states: s 0 1 2
+accept: 1
+reject: 2
+default: center
+rule: * s * -> 0
+rule: * 0 * -> 1
+rule: * 1 * -> 2
+rule: * 2 * -> 0
+"""
+
+
+@pytest.mark.parametrize(
+    "table, word, i, short",
+    [(BLINKER, "0110", 5, "0110"), (BLINKER, "011010", 3, "0110"),
+     (BLINKER, "0110100110", 6, "0110100"), (BLINKER, "0110100110", 1, "01"),
+     (COUNTER, "1111111111112s0s21", 5, "11111111112s0s2"),
+     (COUNTER, "0000000000000000s1", 8, "0000000000000000s1")],
+)
+def test_critical_contract_on_a_decider_that_cycles(table, word, i, short):
+    """The engine stops a run at its first repeat; the witness still reads
+    the configurations up to step ``i``, continuing the orbit."""
+    assert critical_contract(parse_rule_table(table, name="cycles"), word, i) == short
 
 
 def test_critical_contract_budget_error_on_fast_decisions():
