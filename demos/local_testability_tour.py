@@ -38,7 +38,8 @@ def main():
         verdict = run_acceptor(acceptor, word)
         print(f"  {word}: {verdict.kind}")
 
-    # negation needs the decider compiler: one checkpoint per word profile
+    # negation needs the decider compiler: one checkpoint per set of leaves,
+    # 2^m in all for m distinct leaves
     all0 = Scanner(
         k=1, alphabet=BITS,
         pi=frozenset({"0"}), sigma=frozenset({"0"}), mu=frozenset({"0"}),

@@ -164,6 +164,7 @@ def _load_expression(path: pathlib.Path, scanner_error: RuleFileError):
 
 def _cmd_compile(args) -> int:
     path = pathlib.Path(args.spec)
+    schedule = ""
     if args.kind == "slt":
         try:
             scanners = [load_scanner(path)]
@@ -184,13 +185,14 @@ def _cmd_compile(args) -> int:
             f" with 'acaw compile slt', or bind it in an expression: 'let NAME = {path.name}'"
         ))
         machine = compile_lt_to_daca(expr)
-        gather = expr.window
+        gather, m = expr.window, len(set(expr.leaves()))
+        schedule = f", {m} distinct {'leaf' if m == 1 else 'leaves'}, {2**m} checkpoints"
     text = tabulate_by_observation(machine, probe_len=gather + 4, name=path.stem)
     pathlib.Path(args.out).write_text(text)
     n_states = len(text.splitlines()[2].split()) - 1  # the states: line
     print(
         f"wrote {args.out}: {n_states} states,"
-        f" settles within {machine.time_bound} steps"
+        f" settles within {machine.time_bound} steps{schedule}"
     )
     return EXIT_OK
 

@@ -3,9 +3,9 @@
 A scanner checks a word with one window predicate: the length-k prefix must
 lie in ``pi``, every length-k infix in ``mu``, and the length-k suffix in
 ``sigma``.  Boolean combinations of scanners form the locally testable
-languages; membership then depends only on the word's profile
-(:class:`acaw.words.Profile`: prefix, infix set, suffix) at the expression's
-window size.
+languages; membership then depends only on which leaf scanners accept the
+word, and so only on the word's profile (:class:`acaw.words.Profile`:
+prefix, infix set, suffix) at the expression's window size.
 
 Both compilers below share one machine skeleton: every cell notes at step 0
 whether its left neighbour is the border, then copies one more symbol from
@@ -14,7 +14,7 @@ the border padded by ``q``; after that a phase counter walks a fixed
 checkpoint schedule.  At a checkpoint every cell either shows the machine's
 accept face (or reject face, for deciders) or stays neutral, and the
 all-cells acceptance condition turns the conjunction of the per-cell window
-certificates into exactly the scanner/profile predicate.  The schedule
+certificates into exactly the scanner or leaf-set predicate.  The schedule
 length depends only on the compiled expression, which is what makes the
 results constant-time.
 """
@@ -28,6 +28,7 @@ from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
 _TABULATE_STEP_CEILING = 10_000
+_MAX_LEAVES = 12
 
 from .core import (
     AlphabetError,
@@ -53,7 +54,7 @@ class Scanner:
     pi: frozenset
     sigma: frozenset
     mu: frozenset
-    name: str = "scanner"
+    name: str = field(default="scanner", compare=False)  # equal tests are equal scanners
 
     def __post_init__(self):
         if self.k < 1:
@@ -154,16 +155,21 @@ def lt_not(child: LTExpression) -> LTExpression:
     return LTExpression("not", children=(child,))
 
 
+def _evaluate(expr: LTExpression, holds, arg) -> bool:
+    """The expression's value when each leaf scanner s is ``holds(s, arg)``."""
+    if expr.op == "scanner":
+        return holds(expr.scanner, arg)
+    if expr.op == "not":
+        return not _evaluate(expr.children[0], holds, arg)
+    results = (_evaluate(child, holds, arg) for child in expr.children)
+    return any(results) if expr.op == "or" else all(results)
+
+
 def lt_eval(expr: LTExpression, word: str) -> bool:
     """Reference evaluator; ground truth for every compiler in this module."""
     if not word:
         raise EmptyInputError("locally testable languages live inside the non-empty words")
-    if expr.op == "scanner":
-        return scanner_accepts(expr.scanner, word)
-    if expr.op == "not":
-        return not lt_eval(expr.children[0], word)
-    results = (lt_eval(child, word) for child in expr.children)
-    return any(results) if expr.op == "or" else all(results)
+    return _evaluate(expr, scanner_accepts, word)
 
 
 @dataclass(frozen=True)
@@ -185,13 +191,8 @@ def lt_profile_table(expr: LTExpression) -> ProfileTable:
     """
     k = expr.window
     alphabet = tuple(sorted(expr.alphabet))
-    realizers: dict = {}
-    queue = []
-    for letter in alphabet:
-        key = profile(letter, k)
-        if key not in realizers:
-            realizers[key] = letter
-            queue.append(key)
+    realizers = {profile(letter, k): letter for letter in alphabet}  # each its own profile
+    queue = list(realizers)
     for key in queue:
         word = realizers[key]
         for letter in alphabet:
@@ -256,21 +257,18 @@ def _certificate(k: int, pi, mu, sigma, state: WState) -> bool:
 class _ChecksFaces:
     """Accept/reject predicates driven by a checkpoint schedule."""
 
-    def __init__(self, gather: int, checks: list, want: bool, final_reject: bool):
+    def __init__(self, gather: int, checks: list, want: bool):
         self.gather = gather
-        self.checks = checks  # list of (certificate callable, bit)
+        self.checks = checks  # list of (certificate callables, all of which must hold; bit)
         self.want = want  # which bit this face belongs to
-        self.final_reject = final_reject
 
     def __call__(self, state) -> bool:
         if not isinstance(state, WState):
             return False
         idx = state.phase - self.gather - 1
         if 0 <= idx < len(self.checks):
-            certificate, bit = self.checks[idx]
-            return bit == self.want and certificate(state)
-        if self.final_reject and idx == len(self.checks):
-            return True
+            certificates, bit = self.checks[idx]
+            return bit == self.want and all(c(state) for c in certificates)
         return False
 
 
@@ -288,15 +286,12 @@ def compile_slt_union_to_aca(scanners: list) -> Automaton:
         raise AlphabetError("scanners disagree on the alphabet")
     alphabet = next(iter(alphabets)) if alphabets else ("0", "1")
     gather = max((s.k for s in scanners), default=1)
-    checks = [(partial(_certificate, s.k, s.pi, s.mu, s.sigma), True) for s in scanners]
-    rule = _WindowRule(gather, gather + len(checks) + 1)
+    checks = [([partial(_certificate, s.k, s.pi, s.mu, s.sigma)], True) for s in scanners]
     return Automaton(
         name="slt-union",
         input_alphabet=tuple(alphabet),
-        rule=rule,
-        accepting=_ChecksFaces(gather, checks, True, final_reject=False),
-        rejecting=None,
-        states=None,
+        rule=_WindowRule(gather, gather + len(checks) + 1),
+        accepting=_ChecksFaces(gather, checks, True),
         time_bound=gather + len(checks) + 1,
     )
 
@@ -304,30 +299,30 @@ def compile_slt_union_to_aca(scanners: list) -> Automaton:
 def compile_lt_to_daca(expr: LTExpression) -> Automaton:
     """Decider for the expression language, constant decision time.
 
-    One checkpoint per realizable profile, short words first, then by
-    increasing infix-set size: the first checkpoint a word triggers is the
-    one with its exact profile, so the verdict is that profile's table bit.
-    A last unconditional all-reject checkpoint keeps the machine total.
+    One checkpoint per set of leaves, 2^m in all for the m distinct leaves,
+    larger sets first.  Every cell certifies its own window, so checkpoint T
+    fires exactly when every leaf in T accepts the word, and the first to
+    fire is the set V of leaves that accept it.  Its bit is the expression
+    with exactly V's leaves true.  The empty set fires on every word, so the
+    machine is total.  More than ``_MAX_LEAVES`` leaves raise ParameterError.
     """
-    table = lt_profile_table(expr)
-    k = table.k
-
-    def order(item):
-        p, _ = item
-        return (len(p.prefix), len(p.infixes), sorted(p.infixes), p.prefix, p.suffix)
-
+    leaves = list(dict.fromkeys(expr.leaves()))
+    if len(leaves) > _MAX_LEAVES:
+        raise ParameterError(f"{len(leaves)} distinct scanner leaves would need"
+                             f" 2^{len(leaves)} checkpoints; at most {_MAX_LEAVES} are compiled")
     checks = [
-        (partial(_certificate, k, {p.prefix}, p.infixes, {p.suffix}), bit)
-        for p, bit in sorted(table.bits.items(), key=order)
+        ([partial(_certificate, s.k, s.pi, s.mu, s.sigma) for s in subset],
+         _evaluate(expr, lambda leaf, chosen: leaf in chosen, subset))
+        for size in range(len(leaves), -1, -1)
+        for subset in itertools.combinations(leaves, size)
     ]
-    rule = _WindowRule(k, k + len(checks) + 2)
+    k = expr.window
     return Automaton(
         name="lt-decider",
-        input_alphabet=tuple(table.alphabet),
-        rule=rule,
-        accepting=_ChecksFaces(k, checks, True, final_reject=False),
-        rejecting=_ChecksFaces(k, checks, False, final_reject=True),
-        states=None,
+        input_alphabet=tuple(sorted(expr.alphabet)),
+        rule=_WindowRule(k, k + len(checks) + 2),
+        accepting=_ChecksFaces(k, checks, True),
+        rejecting=_ChecksFaces(k, checks, False),
         time_bound=k + len(checks) + 1,
     )
 
@@ -418,8 +413,6 @@ def aca_union(a1: Automaton, a2: Automaton) -> Automaton:
         input_alphabet=a1.input_alphabet,
         rule=_UnionRule(a1.rule, a2.rule),
         accepting=_UnionFace(a1.accepting, a2.accepting),
-        rejecting=None,
-        states=None,
         time_bound=bound,
     )
 
@@ -475,7 +468,6 @@ def aca_to_daca(acceptor: Automaton, t_const: int) -> Automaton:
         rule=_TimeoutRule(acceptor.rule, limit),
         accepting=accepting,
         rejecting=rejecting,
-        states=None,
         time_bound=limit,
     )
 
@@ -610,7 +602,8 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
     first-seen order) and writes its rows sorted by name.  Like
     :func:`~acaw.rulefile.save_rule_table`, it refuses through
     :func:`~acaw.rulefile.face_lists` a table that would not load: colliding
-    names (an input symbol named ``s0``), an empty accept set, or a
+    names (an input symbol named ``s0``), a reserved name (an input symbol
+    ``*``), a state that both accepts and rejects, an empty accept set, or a
     decider's empty reject set.
     """
     if probe_len < 1:
@@ -621,11 +614,8 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
             f"{_TABULATE_STEP_CEILING}-step tabulation ceiling; not tabulatable"
         )
     alphabet = tuple(automaton.input_alphabet)
-    probes = (
-        word
-        for length in range(1, probe_len + 1)
-        for word in itertools.product(alphabet, repeat=length)
-    )
+    lengths = range(1, probe_len + 1)
+    probes = (word for n in lengths for word in itertools.product(alphabet, repeat=n))
     states, rows = observe(automaton, probes, _TABULATE_STEP_CEILING)
     structured = itertools.count()
     names = [

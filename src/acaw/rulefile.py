@@ -66,7 +66,7 @@ class _TableRule:
 
     def __call__(self, z1, z2, z3):
         out = self.exact.get((z1, z2, z3))
-        if out is None:
+        if out is None and self.wild:
             out = self._wild_match(z1, z2, z3)
         if out is None and not self.default_center:
             raise RuleFileError(f"{self.name}: no rule covers {(z1, z2, z3)} and default is none")
@@ -267,12 +267,19 @@ def face_lists(
 
     The reject list is None for an acceptor.  The bits come from
     :func:`~acaw.core.face_bits`, so no face runs again.  Raises
-    :class:`RuleFileError` on what would not load: colliding names, an empty
-    accept set, and a decider's empty reject set.
+    :class:`RuleFileError` on what would not load: colliding or reserved
+    names, a state that both accepts and rejects, an empty accept set, and
+    a decider's empty reject set.
     """
     if len(set(names)) != len(names):
         raise RuleFileError(f"{automaton.name}: state names collide when rendered")
+    reserved = sorted(_RESERVED.intersection(names))
+    if reserved:
+        raise RuleFileError(f"{automaton.name}: state name {reserved[0]!r} is reserved")
     accepts, rejects = face_bits(automaton, states)
+    both = [n for n, acc, rej in zip(names, accepts, rejects) if acc and rej]
+    if both:
+        raise RuleFileError(f"{automaton.name}: state {both[0]!r} both accepts and rejects")
     accept = [n for n, bit in zip(names, accepts) if bit]
     reject = [n for n, bit in zip(names, rejects) if bit] if automaton.is_decider else None
     for label, listed in (("accept", accept), ("reject", reject)):
@@ -289,8 +296,8 @@ def save_rule_table(automaton: Automaton) -> str:
 
     The rows are the outputs that :func:`~acaw.core.validate` walks, and the
     ``accept:`` and ``reject:`` lines come from :func:`face_lists`, which
-    refuses colliding names and an empty accept or reject set, so a table
-    this writes always loads.
+    refuses colliding or reserved names and an empty accept or reject set,
+    so a table this writes always loads.
     """
     if automaton.states is None:
         raise RuleFileError(

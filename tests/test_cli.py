@@ -2,14 +2,19 @@
 
 import itertools
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from acaw import ACCEPT, load_rule_table, parse_scanner, run_acceptor, scanner_accepts
+from acaw import (
+    ACCEPT, TIMEOUT, load_lt_expression, load_rule_table, lt_eval, parse_scanner, run_acceptor,
+    run_decider, scanner_accepts,
+)
 from acaw.cli import main
 
 DFA_PARITY = """\
@@ -238,16 +243,141 @@ def test_compile_slt_window3_table_matches_scanner(tmp_path, capsys):
 
 
 def test_compile_lt_window2_state_count(tmp_path, capsys):
-    # Every binary window-2 expression walks the same profile schedule, so
-    # its table has the same states whatever the verdicts.
+    # Two distinct leaves give 2^2 checkpoints after two gathering steps; the
+    # time bound is one step past the last of them: 2 + 4 + 1 = 7.
     (tmp_path / "pair.scan").write_text(SCANNER_PAIR)
     (tmp_path / "all0.scan").write_text(SCANNER_ALL0)
     spec = tmp_path / "either.lt"
     spec.write_text("let p = pair.scan\nlet z = all0.scan\n(or p z)\n")
     out = tmp_path / "either.tbl"
     assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == 0
-    assert "1498 states" in capsys.readouterr().out
-    assert len(load_rule_table(out).states) == 1498
+    assert capsys.readouterr().out == (
+        f"wrote {out}: 210 states, settles within 7 steps, 2 distinct leaves, 4 checkpoints\n"
+    )
+    table = load_rule_table(out)
+    assert len(table.states) == 210
+    expr = load_lt_expression(spec)
+    for word in words("01", 10):
+        verdict = run_decider(table, word)
+        assert verdict.steps <= 7 and (verdict.kind == ACCEPT) == lt_eval(expr, word), word
+
+
+# The criterion-4 scanners and expressions, as files.
+C4_SCANNERS = {
+    "pair01": (2, "01", "01", "01", "01 10"),
+    "all0": (1, "01", "0", "0", "0"),
+    "all1": (1, "01", "1", "1", "1"),
+    "no11": (2, "01", "00 01 10 11", "00 01 10 11", "00 01 10"),
+}
+C4_EXPRESSIONS = [
+    "(not all0)", "(not (not pair01))", "(or pair01 all0)", "(and no11 (not all0))",
+    "(not (or all0 all1))",
+]
+
+
+def words(alphabet, max_len):
+    for n in range(1, max_len + 1):
+        yield from map("".join, itertools.product(alphabet, repeat=n))
+
+
+def scanner_file(k, alphabet, pi, sigma, mu):
+    return f"k: {k}\nalphabet: {' '.join(alphabet)}\npi: {pi}\nsigma: {sigma}\nmu: {mu}\n"
+
+
+def random_lt_file(directory, seed, alphabet, widths):
+    """Seeded scanners and an expression over them whose verdicts differ on
+    the words up to length 5, drawn as the lt benchmark workload draws them."""
+    rng = random.Random(seed)
+
+    def subset(windows):
+        return " ".join(w for w in windows if rng.random() < 0.6) or rng.choice(windows)
+
+    def node(names):
+        if len(names) == 1:
+            return f"(not {names[0]})" if rng.random() < 0.3 else names[0]
+        cut = rng.randint(1, len(names) - 1)
+        text = f"({rng.choice(('or', 'and'))} {node(names[:cut])} {node(names[cut:])})"
+        return f"(not {text})" if rng.random() < 0.2 else text
+
+    while True:
+        lets = ""
+        for i, k in enumerate(widths):
+            windows = ["".join(t) for t in itertools.product(alphabet, repeat=k)]
+            fields = (subset(windows), subset(windows), subset(windows))
+            (directory / f"leaf{i}.scan").write_text(scanner_file(k, alphabet, *fields))
+            lets += f"let leaf{i} = leaf{i}.scan\n"
+        spec = directory / f"random{seed}.lt"
+        spec.write_text(lets + node([f"leaf{i}" for i in range(len(widths))]) + "\n")
+        expr = load_lt_expression(spec)
+        if len({lt_eval(expr, word) for word in words(alphabet, 5)}) == 2:
+            return spec
+
+
+def c4_lt_file(directory, expression):
+    for name, fields in C4_SCANNERS.items():
+        (directory / f"{name}.scan").write_text(scanner_file(*fields))
+    spec = directory / "c4.lt"
+    spec.write_text("".join(f"let {name} = {name}.scan\n" for name in C4_SCANNERS) + expression)
+    return spec
+
+
+# (alphabet, leaf widths) of the seeded expressions; the seed is the index.
+RANDOM_LT = [
+    ("01", [1, 1]), ("01", [1, 1, 1]), ("01", [2, 1]), ("01", [2, 2, 1]), ("01", [2, 2]),
+    ("012", [1, 1]), ("012", [1, 1, 1]),
+]
+
+
+@pytest.mark.parametrize(
+    "case", [*C4_EXPRESSIONS, *range(len(RANDOM_LT))],
+    ids=[*C4_EXPRESSIONS, *(f"seed{i}-{a}-{w}" for i, (a, w) in enumerate(RANDOM_LT))],
+)
+def test_compiled_lt_tables_match_lt_eval(tmp_path, capsys, case):
+    if isinstance(case, str):
+        spec, alphabet = c4_lt_file(tmp_path, case), "01"
+    else:
+        alphabet, widths = RANDOM_LT[case]
+        spec = random_lt_file(tmp_path, case, alphabet, widths)
+    out = tmp_path / "compiled.tbl"
+    assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == 0
+    capsys.readouterr()
+    table = load_rule_table(out)
+    expr = load_lt_expression(spec)
+    for word in words(alphabet, 12 if alphabet == "01" else 7):
+        verdict = run_decider(table, word)  # the default budget, as `acaw run` has it
+        assert verdict.kind != TIMEOUT, word
+        assert (verdict.kind == ACCEPT) == lt_eval(expr, word), word
+
+
+def test_compile_lt_window4_negation_is_fast(tmp_path, capsys):
+    # The profile compiler needed 144,401 steps here, over the tabulation ceiling.
+    (tmp_path / "a4.scan").write_text(scanner_file(4, "01", "0000", "0000", "0000"))
+    spec = tmp_path / "not-a4.lt"
+    spec.write_text("let a4 = a4.scan\n(not a4)\n")
+    out = tmp_path / "not-a4.tbl"
+    start = time.perf_counter()
+    assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == 0
+    assert time.perf_counter() - start < 1
+    assert "settles within 7 steps, 1 distinct leaf, 2 checkpoints\n" in capsys.readouterr().out
+    table = load_rule_table(out)
+    for word in words("01", 9):
+        assert (run_decider(table, word).kind == ACCEPT) == (len(word) < 4 or "1" in word), word
+
+
+def test_compile_lt_refuses_13_distinct_leaves(tmp_path, capsys):
+    windows = ["00", "01", "10", "11"]
+    mus = [c for size in (1, 2, 3) for c in itertools.combinations(windows, size)][:13]
+    lets = ""
+    for i, mu in enumerate(mus):
+        (tmp_path / f"s{i}.scan").write_text(scanner_file(2, "01", "00", "00", " ".join(mu)))
+        lets += f"let s{i} = s{i}.scan\n"
+    spec = tmp_path / "wide.lt"
+    spec.write_text(lets + "(or " + " ".join(f"s{i}" for i in range(13)) + ")\n")
+    assert main(["compile", "lt", "--spec", str(spec), "--out", str(tmp_path / "x.tbl")]) == 2
+    assert capsys.readouterr().err == (
+        "error: 13 distinct scanner leaves would need 2^13 checkpoints; at most 12 are compiled\n"
+    )
+    assert not (tmp_path / "x.tbl").exists()
 
 
 @pytest.mark.parametrize(

@@ -43,7 +43,7 @@ from acaw import (
     tabulate_by_observation,
     zoo_automaton,
 )
-from acaw import core
+from acaw import core, localtests
 from acaw.core import set_automaton
 from acaw.localtests import _TABULATE_STEP_CEILING
 
@@ -253,6 +253,55 @@ def test_lt_decider_is_total_and_correct():
             assert verdict.kind != TIMEOUT, w
             assert (verdict.kind == ACCEPT) == lt_eval(expr, w), w
             assert verdict.steps <= dec.time_bound + 1
+
+
+def test_lt_decider_matches_the_profile_table_on_every_realizer():
+    ternary = lt_or(lt_not(lt_scanner(NO2)), lt_scanner(ENDS0))
+    mixed = lt_and(lt_not(lt_scanner(NO111_FROM0)), lt_or(lt_scanner(PAIR01), lt_scanner(ALL0)))
+    window3 = lt_or(*map(lt_scanner, WIDE_UNIONS[0]))
+    for expr in (SOMEONE_EXPR, TABLE_EXPR, window3, ternary, mixed):
+        table = lt_profile_table(expr)
+        dec = compile_lt_to_daca(expr)
+        for key, word in table.realizers.items():
+            verdict = run_decider(dec, word)
+            assert (verdict.kind == ACCEPT) == table.bits[key], word
+
+
+def test_lt_decider_has_one_checkpoint_per_set_of_distinct_leaves(tmp_path):
+    # One window test in two files, so under two scanner names, is one leaf.
+    (tmp_path / "zeros.scan").write_text("k: 1\nalphabet: 0 1\npi: 0\nsigma: 0\nmu: 0\n")
+    (tmp_path / "nothing-but-0.scan").write_text((tmp_path / "zeros.scan").read_text())
+    expr = parse_lt_expression(
+        "let a = zeros.scan\nlet b = nothing-but-0.scan\n(and a (not (and b (not a))))\n",
+        base_dir=tmp_path,
+    )
+    assert {leaf.name for leaf in expr.leaves()} == {"zeros", "nothing-but-0"}
+    assert set(expr.leaves()) == {ALL0}
+    dec = compile_lt_to_daca(expr)
+    assert dec.time_bound == 1 + 2**1 + 1
+    for w in words("01", 6):
+        assert (run_decider(dec, w).kind == ACCEPT) == ("1" not in w), w
+    two = compile_lt_to_daca(lt_or(lt_scanner(PAIR01), lt_scanner(ALL0), lt_scanner(PAIR01)))
+    assert two.time_bound == 2 + 2**2 + 1
+
+
+def test_lt_decider_refuses_more_than_12_distinct_leaves(monkeypatch):
+    windows = ["".join(t) for t in itertools.product(BITS, repeat=3)]
+    scanners = [
+        Scanner(k=3, alphabet=BITS, pi=frozenset(windows), sigma=frozenset(windows),
+                mu=frozenset(windows) - {windows[i]}, name=f"all-but-{i}")
+        for i in range(8)
+    ] + [
+        Scanner(k=3, alphabet=BITS, pi=frozenset(windows) - {windows[i]},
+                sigma=frozenset(windows), mu=frozenset(windows), name=f"starts-not-{i}")
+        for i in range(5)
+    ]
+    assert compile_lt_to_daca(lt_or(*map(lt_scanner, scanners[:12]))).time_bound == 3 + 4096 + 1
+    built = []
+    monkeypatch.setattr(localtests, "_evaluate", lambda *args: built.append(args) or True)
+    with pytest.raises(ParameterError, match="^13 distinct scanner leaves .* at most 12"):
+        compile_lt_to_daca(lt_or(*map(lt_scanner, scanners)))
+    assert built == []
 
 
 def test_lt_decider_verdict_time_depends_only_on_profile():
@@ -512,6 +561,27 @@ def test_tabulate_refuses_names_that_collide():
         accepting=lambda state: isinstance(state, tuple),
     )
     with pytest.raises(RuleFileError, match="^clash: state names collide when rendered$"):
+        tabulate_by_observation(machine, probe_len=3)
+
+
+def test_tabulate_refuses_a_state_that_accepts_and_rejects():
+    """Every state accepts and ``1`` also rejects: loading the table would
+    fail with ``accept and reject sets overlap``."""
+    machine = Automaton(
+        name="both", input_alphabet=BITS, rule=lambda left, center, right: center,
+        accepting=lambda state: True, rejecting="1".__eq__,
+    )
+    with pytest.raises(RuleFileError, match="^both: state '1' both accepts and rejects$"):
+        tabulate_by_observation(machine, probe_len=3)
+
+
+def test_tabulate_refuses_reserved_names():
+    """An input symbol ``*`` would be written as a state named ``*``."""
+    machine = Automaton(
+        name="starry", input_alphabet=("*", "1"), rule=lambda left, center, right: center,
+        accepting="1".__eq__,
+    )
+    with pytest.raises(RuleFileError, match="^starry: state name '\\*' is reserved$"):
         tabulate_by_observation(machine, probe_len=3)
 
 

@@ -88,6 +88,20 @@ def test_rows_are_indexed_without_a_wildcard_scan_until_a_wildcard_row(monkeypat
     assert global_step(machine, ("0", "1", "0", "1", "1", "0"))[1::3] == ("b", "a")
 
 
+def test_a_table_without_wildcard_rows_never_scans_for_one(monkeypatch):
+    scans = []
+    wild_match = rulefile._TableRule._wild_match
+    monkeypatch.setattr(
+        rulefile._TableRule, "_wild_match",
+        lambda rule, *triple: scans.append(triple) or wild_match(rule, *triple),
+    )
+    machine = parse_rule_table(
+        "alphabet: 0 1\nstates: 0 1 a\naccept: a\nrule: 0 1 0 -> a\ndefault: center\n"
+    )
+    run_acceptor(machine, "0000")  # three triples, none of them the row's
+    assert scans == []
+
+
 def test_star_flank_matches_border_and_states():
     text = """\
 alphabet: 0
@@ -355,6 +369,15 @@ def test_save_refuses_colliding_names():
         accepting=lambda state: True, states=("a", Named()),
     )
     with pytest.raises(RuleFileError, match="^twins: state names collide when rendered$"):
+        save_rule_table(machine)
+
+
+def test_save_refuses_reserved_names():
+    machine = Automaton(
+        name="starry", input_alphabet=("*", "1"), rule=lambda left, center, right: center,
+        accepting="1".__eq__, states=("*", "1"),
+    )
+    with pytest.raises(RuleFileError, match="^starry: state name '\\*' is reserved$"):
         save_rule_table(machine)
 
 
