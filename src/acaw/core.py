@@ -117,6 +117,7 @@ def set_automaton(
     accept_states: Iterable[Any],
     reject_states: Optional[Iterable[Any]] = None,
     states: Optional[Iterable[Any]] = None,
+    time_bound: Optional[int] = None,
 ) -> Automaton:
     """Build an :class:`Automaton` from explicit accept/reject state sets."""
     accept = frozenset(accept_states)
@@ -132,6 +133,7 @@ def set_automaton(
         accepting=accept.__contains__,
         rejecting=reject.__contains__ if reject is not None else None,
         states=tuple(states) if states is not None else None,
+        time_bound=time_bound,
     )
 
 
@@ -402,6 +404,8 @@ def _start(
         max_steps = default_max_steps(len(symbols))
         if automaton.time_bound is not None:
             max_steps = max(max_steps, automaton.time_bound + 1)
+    elif max_steps < 0:
+        raise ParameterError(f"max_steps must be >= 0, not {max_steps}")
     runner = _runner_for(automaton)
     return runner, tuple(map(runner.intern, symbols)), max_steps
 

@@ -10,13 +10,13 @@ prefix, infix set, suffix) at the expression's window size.
 Both compilers below share one machine skeleton: every cell notes at step 0
 whether its left neighbour is the border, then copies one more symbol from
 its right neighbour per step until it holds the G symbols ahead of it, with
-the border padded by ``q``; after that a phase counter walks a fixed
-checkpoint schedule.  At a checkpoint every cell either shows the machine's
-accept face (or reject face, for deciders) or stays neutral, and the
-all-cells acceptance condition turns the conjunction of the per-cell window
-certificates into exactly the scanner or leaf-set predicate.  The schedule
-length depends only on the compiled expression, which is what makes the
-results constant-time.
+the border padded by ``q``.  The next step keeps only one bit per leaf, its
+window certificate, and a counter that walks a fixed schedule of (mask, bit)
+checkpoints and stays at the last.  A cell where every leaf in the mask
+holds shows the face of the bit (accept, or reject for deciders), the others
+stay neutral, and the all-cells condition turns the conjunction of the
+per-cell certificates into exactly the scanner or leaf-set predicate.  The
+schedule length depends only on the expression, hence constant time.
 """
 
 from __future__ import annotations
@@ -208,27 +208,33 @@ def lt_profile_table(expr: LTExpression) -> ProfileTable:
 # The shared window-gathering skeleton.
 
 
-class WState(NamedTuple):
-    phase: int
+class WState(NamedTuple):  # a cell while it gathers
     at_left: bool  # the left neighbour is the border
-    ahead: tuple  # symbols at offsets 0..min(phase, G), 'q' beyond the border
+    ahead: tuple  # symbols at offsets 0, 1, ..., 'q' beyond the border
+
+
+class Checked(NamedTuple):  # a cell after gathering: all that its faces read
+    checkpoint: int  # index into the schedule; stays at the last one
+    holds: int  # bit i is set when leaf i's certificate holds at this cell
 
 
 class _WindowRule:
-    def __init__(self, gather: int, cap: int):
-        self.gather = gather
-        self.cap = cap
+    def __init__(self, gather: int, certificates: list, last: int):
+        self.gather, self.certificates, self.last = gather, certificates, last
 
     def __call__(self, left, center, right):
+        if isinstance(center, Checked):
+            # Built directly: ``_replace`` costs about three times as much, and
+            # tabulation calls this once per new triple.
+            return Checked(min(center.checkpoint + 1, self.last), center.holds)
         if not isinstance(center, WState):
             rsym = right if isinstance(right, str) else "q"
-            return WState(1, not isinstance(left, str), (center, rsym))
-        if center.phase < self.gather:
+            return WState(not isinstance(left, str), (center, rsym))
+        if len(center.ahead) <= self.gather:
             rsym = right.ahead[-1] if isinstance(right, WState) else "q"
-            return WState(center.phase + 1, center.at_left, center.ahead + (rsym,))
-        # Built directly: ``_replace`` costs about three times as much, and
-        # tabulation calls this once per new triple.
-        return WState(min(center.phase + 1, self.cap), center.at_left, center.ahead)
+            return WState(center.at_left, center.ahead + (rsym,))
+        holds = (1 << i for i, leaf in enumerate(self.certificates) if leaf(center))
+        return Checked(0, sum(holds))
 
 
 def _certificate(k: int, pi, mu, sigma, state: WState) -> bool:
@@ -254,22 +260,28 @@ def _certificate(k: int, pi, mu, sigma, state: WState) -> bool:
     return True
 
 
-class _ChecksFaces:
-    """Accept/reject predicates driven by a checkpoint schedule."""
-
-    def __init__(self, gather: int, checks: list, want: bool):
-        self.gather = gather
-        self.checks = checks  # list of (certificate callables, all of which must hold; bit)
-        self.want = want  # which bit this face belongs to
-
-    def __call__(self, state) -> bool:
-        if not isinstance(state, WState):
-            return False
-        idx = state.phase - self.gather - 1
-        if 0 <= idx < len(self.checks):
-            certificates, bit = self.checks[idx]
-            return bit == self.want and all(c(state) for c in certificates)
+def _face(checks: list, want: bool, state) -> bool:
+    """Whether the cell's checkpoint (mask, bit) has bit ``want`` and all of mask holds."""
+    if not isinstance(state, Checked):
         return False
+    mask, bit = checks[state.checkpoint]
+    return bit == want and state.holds & mask == mask
+
+
+def _window_machine(name: str, alphabet, leaves: list, checks: list, decider: bool) -> Automaton:
+    """Both compilers' machine: the ``checks`` are (mask, bit) checkpoints
+    over the leaves' bits, one per step after gathering the widest leaf."""
+    gather = max((leaf.k for leaf in leaves), default=1)
+    schedule = checks or [(0, False)]  # no checkpoints: one that never accepts
+    certificates = [partial(_certificate, s.k, s.pi, s.mu, s.sigma) for s in leaves]
+    return Automaton(
+        name=name,
+        input_alphabet=tuple(alphabet),
+        rule=_WindowRule(gather, certificates, len(schedule) - 1),
+        accepting=partial(_face, schedule, True),
+        rejecting=partial(_face, schedule, False) if decider else None,
+        time_bound=gather + len(checks) + 1,
+    )
 
 
 def compile_slt_union_to_aca(scanners: list) -> Automaton:
@@ -285,15 +297,8 @@ def compile_slt_union_to_aca(scanners: list) -> Automaton:
     if len(alphabets) > 1:
         raise AlphabetError("scanners disagree on the alphabet")
     alphabet = next(iter(alphabets)) if alphabets else ("0", "1")
-    gather = max((s.k for s in scanners), default=1)
-    checks = [([partial(_certificate, s.k, s.pi, s.mu, s.sigma)], True) for s in scanners]
-    return Automaton(
-        name="slt-union",
-        input_alphabet=tuple(alphabet),
-        rule=_WindowRule(gather, gather + len(checks) + 1),
-        accepting=_ChecksFaces(gather, checks, True),
-        time_bound=gather + len(checks) + 1,
-    )
+    checks = [(1 << i, True) for i in range(len(scanners))]
+    return _window_machine("slt-union", alphabet, scanners, checks, decider=False)
 
 
 def compile_lt_to_daca(expr: LTExpression) -> Automaton:
@@ -310,21 +315,13 @@ def compile_lt_to_daca(expr: LTExpression) -> Automaton:
     if len(leaves) > _MAX_LEAVES:
         raise ParameterError(f"{len(leaves)} distinct scanner leaves would need"
                              f" 2^{len(leaves)} checkpoints; at most {_MAX_LEAVES} are compiled")
+    bit = {leaf: 1 << i for i, leaf in enumerate(leaves)}
     checks = [
-        ([partial(_certificate, s.k, s.pi, s.mu, s.sigma) for s in subset],
-         _evaluate(expr, lambda leaf, chosen: leaf in chosen, subset))
+        (sum(map(bit.get, subset)), _evaluate(expr, lambda leaf, chosen: leaf in chosen, subset))
         for size in range(len(leaves), -1, -1)
         for subset in itertools.combinations(leaves, size)
     ]
-    k = expr.window
-    return Automaton(
-        name="lt-decider",
-        input_alphabet=tuple(sorted(expr.alphabet)),
-        rule=_WindowRule(k, k + len(checks) + 2),
-        accepting=_ChecksFaces(k, checks, True),
-        rejecting=_ChecksFaces(k, checks, False),
-        time_bound=k + len(checks) + 1,
-    )
+    return _window_machine("lt-decider", sorted(expr.alphabet), leaves, checks, decider=True)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +586,7 @@ def load_lt_expression(path) -> LTExpression:
 def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = None) -> str:
     """Flatten a structured-state machine to the rule-table format.
 
-    Every cell state of the compiled machines is a function of the phase,
+    Every cell state of the compiled machines is a function of the step,
     the cell's left-border flag and the symbols at offsets 0..G ahead of it,
     so a triple depends only on offsets -2..G+1 around its centre, and each
     triple the machine can ever invoke already occurs while simulating all
@@ -626,4 +623,6 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
     label[None] = "q"
     rows = sorted(zip(*[map(label.__getitem__, column) for column in zip(*rows)]))
     accept, reject = face_lists(automaton, states, names)
-    return serialize_rules(name or automaton.name, alphabet, names, accept, reject, rows)
+    return serialize_rules(
+        name or automaton.name, alphabet, names, accept, reject, rows, automaton.time_bound
+    )

@@ -11,6 +11,8 @@ supported).  Declarations::
     reject: r
     # or: none
     default: center
+    # optional: a step count the machine settles within
+    time_bound: 12
     rule: X Y Z -> W
 
 ``states`` must contain the alphabet and excludes the reserved border token
@@ -20,7 +22,9 @@ ranges over states plus ``*`` (the centre of an active cell is never the
 border, and writing ``q`` there is an error, as is writing it as output W).
 The first matching rule wins.  Unmatched triples fall back to ``default``:
 ``center`` keeps the centre state, ``none`` demands the rules be exhaustive
-and makes any gap a load-time error.
+and makes any gap a load-time error.  ``time_bound``, one non-negative
+integer, becomes the machine's :attr:`~acaw.core.Automaton.time_bound`, so
+runs without an explicit budget get at least that many steps.
 
 The reader here, :func:`read_text`, :func:`file_lines` and
 :func:`read_directives`, also reads DFA, scanner and LT-expression files.
@@ -134,7 +138,8 @@ def read_directives(
 
 def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
     fields, rule_rows = read_directives(
-        text, name, ("alphabet", "states", "accept", "default"), ("reject",), row="rule"
+        text, name, ("alphabet", "states", "accept", "default"), ("reject", "time_bound"),
+        row="rule",
     )
     for key in ("alphabet", "states", "accept"):
         if not fields[key][1]:
@@ -150,6 +155,13 @@ def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
     at_default, default = fields["default"]
     if default != ("center",) and default != ("none",):
         raise RuleFileError(f"{name}:{at_default}: default must be 'center' or 'none'")
+    at_bound, bound = fields.get("time_bound", (None, None))
+    if bound is not None:
+        if len(bound) != 1 or not (bound[0].isascii() and bound[0].isdigit()):
+            raise RuleFileError(
+                f"{name}:{at_bound}: time_bound must be one non-negative integer"
+            )
+        bound = int(bound[0])
 
     state_set = set(states)
     if len(state_set) != len(states):
@@ -191,7 +203,7 @@ def parse_rule_table(text: str, name: str = "rule-table") -> Automaton:
         elif not wild or rule._wild_match(*pattern) is None:
             exact.setdefault(pattern, w)
 
-    automaton = set_automaton(name, alphabet, rule, accept, reject, states)
+    automaton = set_automaton(name, alphabet, rule, accept, reject, states, bound)
     if default == ("none",) and _has_gap(states, (tokens for _, tokens in rule_rows)):
         validate(automaton)  # the rule raises on the first triple no row covers
     return automaton
@@ -241,11 +253,13 @@ def serialize_rules(
     accept: Iterable[str],
     reject: Optional[Iterable[str]],
     triples: Iterable[tuple[str, str, str, str]],
+    time_bound: Optional[int] = None,
 ) -> str:
     """Format a machine given explicit rule triples.
 
     Triples whose output equals the centre are dropped and recovered through
-    ``default: center``, which keeps files small and is always exact.
+    ``default: center``, which keeps files small and is always exact.  A
+    ``time_bound:`` line is written when ``time_bound`` is given.
     """
     lines = [f"# {name}"]
     lines.append("alphabet: " + " ".join(alphabet))
@@ -253,6 +267,8 @@ def serialize_rules(
     lines.append("accept: " + " ".join(accept))
     if reject is not None:
         lines.append("reject: " + " ".join(reject))
+    if time_bound is not None:
+        lines.append(f"time_bound: {time_bound}")
     for z1, z2, z3, w in triples:
         if w != z2:
             lines.append(f"rule: {z1} {z2} {z3} -> {w}")
@@ -309,5 +325,6 @@ def save_rule_table(automaton: Automaton) -> str:
     accept, reject = face_lists(automaton, automaton.states, names)
     triples = [(str(z1), str(z2), str(z3), str(out)) for (z1, z2, z3), out in outputs]
     return serialize_rules(
-        automaton.name, automaton.input_alphabet, names, accept, reject, triples
+        automaton.name, automaton.input_alphabet, names, accept, reject, triples,
+        automaton.time_bound,
     )

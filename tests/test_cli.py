@@ -96,6 +96,26 @@ def test_run_max_steps_override(capsys):
     assert capsys.readouterr().out.strip() == "timeout"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "zoo:pair01", "--input", "0101", "--max-steps", "-5"],
+        ["verify", "--automaton", "zoo:pair01", "--oracle", "pair01", "--max-len", "4",
+         "--max-steps", "-1"],
+        ["bench", "--family", "zeros", "--k", "1..3", "--max-steps", "-2", "--out", "rows.csv"],
+    ],
+    ids=["run", "verify", "bench"],
+)
+def test_negative_step_budgets_exit_2_with_one_error_line(tmp_path, capsys, argv, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    budget = argv[argv.index("--max-steps") + 1]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max_steps must be >= 0, not {budget}\n"
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_run_mode_mismatches(tmp_path, capsys):
     assert main(["run", "zoo:pair01", "--decider", "--input", "01"]) == 2
     table = tmp_path / "someone.tbl"
@@ -252,10 +272,10 @@ def test_compile_lt_window2_state_count(tmp_path, capsys):
     out = tmp_path / "either.tbl"
     assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == 0
     assert capsys.readouterr().out == (
-        f"wrote {out}: 210 states, settles within 7 steps, 2 distinct leaves, 4 checkpoints\n"
+        f"wrote {out}: 58 states, settles within 7 steps, 2 distinct leaves, 4 checkpoints\n"
     )
     table = load_rule_table(out)
-    assert len(table.states) == 210
+    assert len(table.states) == 58
     expr = load_lt_expression(spec)
     for word in words("01", 10):
         verdict = run_decider(table, word)
@@ -347,6 +367,28 @@ def test_compiled_lt_tables_match_lt_eval(tmp_path, capsys, case):
         verdict = run_decider(table, word)  # the default budget, as `acaw run` has it
         assert verdict.kind != TIMEOUT, word
         assert (verdict.kind == ACCEPT) == lt_eval(expr, word), word
+
+
+def test_loaded_table_runs_within_its_machines_time_bound(tmp_path, capsys):
+    # Five window-1 leaves give 2^5 checkpoints, so the machine settles within
+    # 1 + 32 + 1 = 34 steps, past the default budget 4n + 16 of a short word.
+    leaves = [("1", "0 1", "0 1"), ("0 1", "1", "0 1"), ("0 1", "0 1", "1"),
+              ("1", "1", "0 1"), ("0 1", "0 1", "0 1")]
+    for i, fields in enumerate(leaves):
+        (tmp_path / f"s{i}.scan").write_text(scanner_file(1, "01", *fields))
+    spec = tmp_path / "five.lt"
+    spec.write_text("".join(f"let s{i} = s{i}.scan\n" for i in range(5))
+                    + "(or " + " ".join(f"(not s{i})" for i in range(5)) + ")\n")
+    out = tmp_path / "five.tbl"
+    assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == 0
+    assert "settles within 34 steps, 5 distinct leaves, 32 checkpoints\n" in capsys.readouterr().out
+    assert "time_bound: 34\n" in out.read_text()
+    expr = load_lt_expression(spec)
+    for word in ("0", "00", "000", "0000", "1", "11"):
+        code = main(["run", str(out), "--decider", "--input", word])
+        kind, steps = capsys.readouterr().out.split()
+        assert (kind, code) == (("accept", 0) if lt_eval(expr, word) else ("reject", 1)), word
+        assert int(steps) <= 34, word
 
 
 def test_compile_lt_window4_negation_is_fast(tmp_path, capsys):

@@ -233,6 +233,14 @@ def test_max_steps_override():
     assert v.kind == TIMEOUT
 
 
+def test_negative_max_steps_is_refused():
+    a = make_shift()
+    with pytest.raises(ParameterError, match="^max_steps must be >= 0, not -1$"):
+        run_acceptor(a, "10", max_steps=-1)
+    with pytest.raises(ParameterError, match="^max_steps must be >= 0, not -3$"):
+        next(configurations(a, "10", max_steps=-3))
+
+
 def test_set_automaton_rejects_empty_accept_set():
     with pytest.raises(AlphabetError):
         set_automaton("x", ("0",), shift_right_rule, ())

@@ -505,10 +505,25 @@ def test_tabulate_round_trips_an_acceptor():
         ), w
 
 
-def test_tabulate_round_trips_a_decider():
-    machine = compile_lt_to_daca(SOMEONE_EXPR)
-    text = tabulate_by_observation(machine, probe_len=2 * 1 + 3)
+# Five distinct window-1 leaves: 2^5 checkpoints.
+FIVE_W1 = [
+    Scanner(k=1, alphabet=BITS, pi=frozenset(pi), sigma=frozenset(sigma), mu=frozenset(mu),
+            name=f"five-{i}")
+    for i, (pi, sigma, mu) in enumerate([
+        ("1", "01", "01"), ("01", "1", "01"), ("01", "01", "1"), ("1", "1", "01"), ("01", "01", "01"),
+    ])
+]
+FIVE_EXPR = lt_or(*(lt_not(lt_scanner(s)) for s in FIVE_W1))
+
+
+@pytest.mark.parametrize(
+    "expr", [SOMEONE_EXPR, TABLE_EXPR, FIVE_EXPR], ids=["window1", "window2", "five-leaves"]
+)
+def test_tabulate_round_trips_a_decider(expr):
+    machine = compile_lt_to_daca(expr)
+    text = tabulate_by_observation(machine, probe_len=2 * expr.window + 3)
     flat = parse_rule_table(text, name="flat")
+    assert flat.time_bound == machine.time_bound
     for w in words("01", 8):
         want = run_decider(machine, w)
         got = run_decider(flat, w, max_steps=machine.time_bound + 1)
@@ -530,6 +545,21 @@ def test_tabulate_probe_of_window_plus_four_is_complete(machine, gather):
     assert tabulate_by_observation(machine, gather + 4) == tabulate_by_observation(
         machine, 2 * gather + 3
     )
+
+
+@pytest.mark.parametrize(
+    "expr", [SOMEONE_EXPR, TABLE_EXPR, FIVE_EXPR], ids=["window1", "window2", "five-leaves"]
+)
+def test_compiled_cells_keep_a_checkpoint_and_leaf_bits_after_gathering(expr):
+    # With m leaves, at most 2^m checkpoints times 2^m leaf bit sets.
+    m = len(set(expr.leaves()))
+    machine = compile_lt_to_daca(expr)
+    states, _ = core.observe(machine, words("01", expr.window + 4), _TABULATE_STEP_CEILING)
+    checked = [s for s in states if not isinstance(s, (str, localtests.WState))]
+    assert checked
+    for state in checked:
+        checkpoint, holds = state
+        assert 0 <= checkpoint < 2**m and 0 <= holds < 2**m, state
 
 
 def test_tabulate_errors():
@@ -673,7 +703,8 @@ def reference_tabulate(automaton, probe_len):
     if automaton.is_decider:
         reject = [names[s] for s in order if automaton.rejecting(s)]
     return serialize_rules(
-        automaton.name, alphabet, list(names.values()), accept, reject, rows
+        automaton.name, alphabet, list(names.values()), accept, reject, rows,
+        automaton.time_bound,
     )
 
 

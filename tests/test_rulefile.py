@@ -263,6 +263,24 @@ def test_line_errors_carry_name_and_line(parse, text, lineno):
         parse(text, name="bad")
 
 
+def test_time_bound_directive_round_trips():
+    assert parse_rule_table(MINIMAL).time_bound is None
+    machine = parse_rule_table(MINIMAL + "time_bound: 12\n", name="bounded")
+    assert machine.time_bound == 12
+    saved = save_rule_table(machine)
+    assert "time_bound: 12\n" in saved
+    assert parse_rule_table(saved).time_bound == 12
+    assert "time_bound" not in serialize_rules("demo", ["0"], ["0", "a"], ["a"], None, [])
+
+
+@pytest.mark.parametrize("value", ["-1", "1 2", "x", "", "1.5", "+3", "\u0663"])
+def test_time_bound_must_be_one_non_negative_integer(value):
+    with pytest.raises(
+        RuleFileError, match="^bad:6: time_bound must be one non-negative integer$"
+    ):
+        parse_rule_table(MINIMAL + f"time_bound: {value}\n", name="bad")
+
+
 def test_readme_example_parses():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     section = readme.split("## Rule table format", 1)[1]
