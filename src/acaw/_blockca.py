@@ -46,13 +46,31 @@ roughly 6*sqrt(2n) steps.
 
 The rule builds its states positionally, for speed, so ``BCell``'s field
 order is part of the trace contract: a trace's configurations are these tuples.
+
+Runs do not call the rule: each machine's ``kernel`` is ``_BlockPlanes``,
+which steps every cell at once on bit-planes.  Bit i of a plane is cell i,
+so a cell reads its left neighbour's plane as ``(x << 1) & mask`` and its
+right neighbour's as ``x >> 1``.  ``sym``, ``lnb`` and ``rnb`` never change
+and are built once per run.  Each other field has one plane per value (ls
+``0``/``1``/``#``, hold ``0``/``1``/``#``/``q``, rf ``0``/``1``/``H``/``X``,
+marker ``C``/``S``) or per flag (emit; the verifier's presence, mode ``C``,
+par 1, fsm ``p`` and ones; ok; dead), and the remaining value (ls ``q``,
+hold and rf ``.``, no verifier, marker ``-``) is a cell with none of its
+field's bits set.  ``age`` and ``phase`` are the same in every cell, so
+they are two ints.  A step is about 150 big-int operations whatever the
+word's length.  ``states`` decodes a configuration to the same ``BCell``
+tuples the rule builds, so traces are unchanged; ``_BlockRule`` stays the
+reference the kernel is tested against, and the rule memo steps these
+machines for ``core.global_step`` and the other object-level helpers.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import NamedTuple, Optional
 
-from .core import Automaton, _Inactive
+from .core import ACCEPT, REJECT, Automaton, _Inactive
 
 _new = tuple.__new__  # a BCell from its fields, skipping the Python-level BCell.__new__
 
@@ -247,6 +265,179 @@ def _rejecting_decider(state) -> bool:
     )
 
 
+# Positions of three planes in a _BlockPlanes configuration.
+_OK, _DEAD, _MC = 17, 18, 19
+# A word's planes and neighbour kinds, by C-level string operations.
+_IS0 = str.maketrans("01#", "100")
+_IS1 = str.maketrans("01#", "010")
+_KIND = str.maketrans("01", "bb")
+# Trace decoding: one cell's bits of a field's planes, as a string, to its value.
+_LS = {"100": "0", "010": "1", "001": "#", "000": "q"}
+_HOLD = {"1000": "0", "0100": "1", "0010": "#", "0001": "q", "0000": "."}
+_RF = {"1000": "0", "0100": "1", "0010": "H", "0001": "X", "0000": "."}
+_BOOL = {"0": False, "1": True}
+_MARKER = {"00": "-", "10": "C", "01": "S"}
+_V = {"00000": None}
+_V.update(
+    ("1" + c + p + f + o, ("FC"[c == "1"], int(p), "ep"[f == "1"], o == "1"))
+    for c, p, f, o in itertools.product("01", repeat=4)
+)
+
+
+class _BlockPlanes:
+    """One run of a block machine on bit-planes, stepping as ``_BlockRule`` does.
+
+    A configuration is a tuple of 21 planes (ls 0/1/#, hold 0/1/#/q, rf
+    0/1/H/X, emit, verifier present/mode C/par 1/fsm p/ones, ok, dead,
+    marker C/S) and then age and phase; equal states give equal
+    configurations.  The step-0 configuration is ``()``.
+    """
+
+    def __init__(self, shift: bool, decider: bool, symbols: tuple):
+        self.shift, self.decider = shift, decider
+        self.word = word = "".join(symbols)
+        n = len(word)
+        self.mask = mask = (1 << n) - 1
+        self.spec = f"0{n}b"
+        cells = word[::-1]  # int(s, 2) reads the last cell as bit 0
+        self.s0, self.s1 = s0, s1 = int(cells.translate(_IS0), 2), int(cells.translate(_IS1), 2)
+        self.b = s0 | s1
+        self.sh = mask ^ self.b
+        self.lh = (self.sh << 1) & mask
+        self.lb = (self.b << 1) & mask
+        self.rq = 1 << (n - 1)
+        # trace decoding's static fields; neighbours read 'q' past the ends
+        self.lnb = "q" + word[:-1].translate(_KIND)
+        self.rnb = word[1:].translate(_KIND) + "q"
+        self.start = ()
+
+    def step(self, config: tuple) -> tuple:
+        if not config:
+            return self._first()
+        (ls0, ls1, lsh, hd0, hd1, hdh, hdq, rf0, rf1, rfh, rfx, emit, vp, vc, v1, vfp,
+         vones, ok, dead, mc, ms, age, phase) = config
+        mask, b, sh, s0, s1 = self.mask, self.b, self.sh, self.s0, self.s1
+
+        # The chain, read from the left (the border reads '.'), and the
+        # conveyor, read from the right (the border reads 'q').  A left read
+        # keeps a bit past the last cell until it meets a masked plane.
+        l0, l1, lh, lx = rf0 << 1, rf1 << 1, rfh << 1, rfx << 1
+        n0, n1 = ls0 >> 1, ls1 >> 1
+        idle = mask ^ emit
+        she, be = sh & emit, b & emit
+        dead |= she & (l0 | l1 | lh | lx)  # a clash: the left block is shorter
+        stop = (she & ~(n0 | n1)) | (be & (hdh | hdq))  # cells emitting their head
+        rf0 = (idle & l0) | (she & n0) | (be & hd0)
+        rf1 = (idle & l1) | (she & n1) | (be & hd1)
+        rfh = (b & idle & lh) | stop
+        rfx = (idle & lx) | (sh & idle & lh)
+        hd0, hd1, hdh, hdq = be & ls0, be & ls1, be & lsh, be & ~(ls0 | ls1 | lsh)
+        emit ^= stop
+        ls0, ls1, lsh = n0, n1, lsh >> 1
+
+        # Visits at their par-1 step move right, out of block cells only.
+        lv = (vp & v1 & b) << 1
+        lvc, lvp, lvo = (vc << 1) & lv, (vfp << 1) & lv, (vones << 1) & lv
+        same = (s0 & rf0) | (s1 & rf1)
+        if self.shift:
+            ok |= sh & lv & ~dead
+        else:
+            ok |= sh & lv & ~dead & (~lvc | lvp)
+        live = b & ~dead
+        visited, fresh = live & vp, live & ~vp
+        par0 = visited & ~v1
+        counter = 0 if self.shift else par0 & vc
+        moved = par0 ^ counter
+        nvp, nvc, nv1, nvfp, nvo = moved, vc & moved, moved, vfp & moved, vones & moved
+        if counter:
+            # The stream slot is the previous block's same-index bit.
+            unset = counter & ~vfp
+            carry = unset & s1 & rf0
+            passed = (unset & same) | carry | (counter & vfp & s0 & rf1)
+            dead |= counter ^ passed
+            fsm, ones = (vfp | carry) & passed, vones & s1 & passed
+            going = passed & ~self.rq
+            ok |= going | (passed & self.rq & fsm & ones)
+            nvp |= going
+            nvc |= going
+            nv1 |= going
+            nvfp |= fsm & going
+            nvo |= ones & going
+
+        # A visit starts from the left, at the first cell on step 1, or at a
+        # block's first cell when the head arrives.
+        from_left = fresh & lv
+        first = (fresh & 1) if age == 0 else 0
+        comparing = fresh & ~lv & self.lh & rfh
+        entering = from_left | first | comparing
+        if entering:
+            mode_c = (from_left & lvc) | comparing
+            mode_f = entering ^ mode_c
+            fsm, ones = from_left & lvp, (from_left & lvo) | first | comparing
+            if self.shift:  # an F visit wants a 1 in the first cell, 0 elsewhere
+                passed = (mode_f & ((1 & s1) | (s0 & ~1))) | (
+                    mode_c & ((self.lh & s0) | (~self.lh & same)))
+            else:
+                passed = (mode_f & s0) | mode_c
+            dead |= entering ^ passed
+            last = passed & self.rq
+            going = passed ^ last
+            if self.shift:
+                ok |= going | (last & s1)
+                dead |= last & s0
+            else:
+                ok |= going & mode_f
+                going |= last & mode_c
+            nvp |= going
+            nvc |= going & mode_c
+            nvfp |= going & fsm
+            nvo |= going & ones
+
+        if self.decider:
+            phase = phase + 1 if phase < 5 else 0
+            if phase == 1:  # census: markers hop right, soiling when they leave a 1
+                hop = b & self.lb
+                mc, ms = hop & ((mc & ~s1) << 1), hop & ((ms | (mc & s1)) << 1)
+        return (ls0, ls1, lsh, hd0, hd1, hdh, hdq, rf0, rf1, rfh, rfx, emit, nvp, nvc, nv1,
+                nvfp, nvo, ok, dead, mc, ms, 1, phase)
+
+    def _first(self) -> tuple:
+        """Step 1: every cell initialised from its symbol and its neighbours'."""
+        b, sh = self.b, self.sh
+        dead = sh & ~(self.lb & (b >> 1))
+        mc = b & (1 | self.lh) if self.decider else 0
+        return (self.s0, self.s1, sh, 0, 0, 0, 0, 0, 0, 0, 0, sh | 1, 0, 0, 0, 0, 0, 0,
+                dead, mc, 0, 0, 1 if self.decider else 0)
+
+    def finality(self, config: tuple, want_reject: bool) -> Optional[str]:
+        if not config:
+            return None
+        phase = config[-1]
+        if config[_OK] == self.mask and not (self.decider and phase == 1):
+            return ACCEPT
+        if want_reject and phase == 1 and not config[_MC] & self.s1:
+            return REJECT
+        return None
+
+    def doomed(self, config: tuple) -> bool:
+        return bool(config) and config[_DEAD] & ~config[_OK] != 0
+
+    def states(self, config: tuple) -> tuple:
+        if not config:
+            return tuple(self.word)
+        bits = [format(x, self.spec)[::-1] for x in config[:-2]]
+        ls, hold, rf = (map("".join, zip(*bits[i:j])) for i, j in ((0, 3), (3, 7), (7, 11)))
+        return tuple(map(_new, itertools.repeat(BCell), zip(
+            self.word, self.lnb, self.rnb, itertools.repeat(config[-2]),
+            map(_LS.__getitem__, ls), map(_HOLD.__getitem__, hold),
+            map(_RF.__getitem__, rf), map(_BOOL.__getitem__, bits[11]),
+            map(_V.__getitem__, map("".join, zip(*bits[12:17]))),
+            map(_BOOL.__getitem__, bits[17]), map(_BOOL.__getitem__, bits[18]),
+            itertools.repeat(config[-1]), map(_MARKER.__getitem__, map("".join, zip(*bits[19:]))),
+        )))
+
+
+
 def block_automaton(name: str, compare: str, decider: bool) -> Automaton:
     rule = _BlockRule(compare, decider)
     return Automaton(
@@ -257,4 +448,5 @@ def block_automaton(name: str, compare: str, decider: bool) -> Automaton:
         rejecting=_rejecting_decider if decider else None,
         states=None,
         doomed=None if decider else _doomed_acceptor,
+        kernel=functools.partial(_BlockPlanes, compare == SHIFT, decider),
     )

@@ -7,6 +7,7 @@ reject/fail, 2 for usage or file-format problems, 3 for a timeout verdict.
 from __future__ import annotations
 
 import argparse
+import functools
 import pathlib
 import sys
 
@@ -237,7 +238,10 @@ def _cmd_zoo(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call to :func:`main` in a
+    process and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="acaw",
         description="Simulate, compile, and certify unanimous-acceptance cellular automata.",

@@ -91,6 +91,19 @@ class Automaton:
     accept and that the rule maps to doomed states whatever its neighbours.
     Untraced acceptor runs use it, and stop as a timeout once a cell is
     doomed; traced runs and deciders ignore it.
+
+    ``kernel``, optional, runs the machine without calling its rule or faces:
+    ``kernel(symbols)`` returns a run of that input with ``start``, its step-0
+    configuration, and ``step(config)``, ``finality(config, want_reject)``,
+    ``doomed(config)`` and ``states(config)``.  Its configurations are any
+    hashable values, equal exactly when their cells' states are; ``states``
+    gives those states as the rule would, and the other three answer as the
+    rule and faces would (``finality`` as :func:`classify`, ``doomed`` whether
+    some cell is doomed).  The run helpers and :func:`configurations` step on
+    the kernel; :func:`global_step`, :func:`classify`, :func:`face_bits`,
+    :func:`validate` and :func:`observe` always use the rule and faces.  A
+    ``dataclasses.replace`` that changes ``rule`` or a face must also set
+    ``kernel=None``.
     """
 
     name: str
@@ -104,6 +117,7 @@ class Automaton:
     # default step budget to cover it.  None means no such promise.
     time_bound: Optional[int] = None
     doomed: Optional[Callable[[Any], bool]] = None
+    kernel: Optional[Callable[[tuple], Any]] = None
 
     @property
     def is_decider(self) -> bool:
@@ -176,7 +190,7 @@ def initial_configuration(automaton: Automaton, word: Iterable[str]) -> tuple:
 def global_step(automaton: Automaton, config: tuple) -> tuple:
     """Apply the local rule once to every active cell."""
     runner = _runner_for(automaton)
-    return tuple(map(runner.objs.__getitem__, runner.step(tuple(map(runner.intern, config)))))
+    return runner.states(runner.step(tuple(map(runner.intern, config))))
 
 
 def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
@@ -208,9 +222,9 @@ def configurations(
     ``max_steps`` steps or as soon as the evolution provably cycles, since a
     deterministic repeat can never reach a configuration not already seen.
     """
-    runner, config, max_steps = _start(automaton, word, max_steps)
-    for config in _evolve(runner, config, max_steps):
-        yield tuple(map(runner.objs.__getitem__, config))
+    stepper, config, max_steps = _start(automaton, word, max_steps)
+    for config in _evolve(stepper, config, max_steps):
+        yield stepper.states(config)
 
 
 def validate(automaton: Automaton) -> Iterator[tuple[tuple, Any]]:
@@ -351,6 +365,9 @@ class _Memo(dict):
 class _Runner:
     """Per-machine cache: states interned to ints, the rule memoized on triples.
 
+    The stepper of every machine without a kernel, with the run members a
+    kernel's runs have (``step``, ``finality``, ``doomed``, ``states``), and
+    the one behind the object-level helpers for every machine.
     Configurations are tuples of state ids.  A step is one C-level ``map`` of
     the memo's ``__getitem__`` over the cells' (left, centre, right) triples;
     a new triple reaches ``_Memo.__missing__``, which calls the rule.  The
@@ -381,6 +398,12 @@ class _Runner:
             return REJECT
         return None
 
+    def doomed(self, config: tuple) -> bool:
+        return any(map(self.doom.__getitem__, config))
+
+    def states(self, config: tuple) -> tuple:
+        return tuple(map(self.objs.__getitem__, config))
+
 
 _RUNNERS: "weakref.WeakKeyDictionary[Automaton, _Runner]" = weakref.WeakKeyDictionary()
 
@@ -395,8 +418,9 @@ def _runner_for(automaton: Automaton) -> _Runner:
 
 def _start(
     automaton: Automaton, word: Iterable[str], max_steps: Optional[int]
-) -> tuple[_Runner, tuple, int]:
-    """The machine's runner, the interned step-0 configuration and the budget."""
+) -> tuple[Any, Any, int]:
+    """The run's stepper (the kernel's run, else the machine's runner), its
+    step-0 configuration and the budget."""
     symbols = initial_configuration(automaton, word)
     if not symbols:
         raise EmptyInputError(f"{automaton.name}: no run on the empty word")
@@ -406,15 +430,18 @@ def _start(
             max_steps = max(max_steps, automaton.time_bound + 1)
     elif max_steps < 0:
         raise ParameterError(f"max_steps must be >= 0, not {max_steps}")
+    if automaton.kernel is not None:
+        run = automaton.kernel(symbols)
+        return run, run.start, max_steps
     runner = _runner_for(automaton)
     return runner, tuple(map(runner.intern, symbols)), max_steps
 
 
-def _evolve(runner: _Runner, config: tuple, max_steps: int) -> Iterator[tuple]:
+def _evolve(stepper: Any, config: Any, max_steps: int) -> Iterator[Any]:
     """Yield ``config``, then one configuration per step for ``max_steps`` steps.
 
-    The engine's only stepping loop and its one cycle check.  Configurations
-    are tuples of state ids, so each one is its own cycle key.  Stops early,
+    The engine's only stepping loop and its one cycle check, for a runner or
+    a kernel's run.  Each configuration is its own cycle key.  Stops early,
     before a configuration that repeats one of the last ``_CYCLE_WINDOW``:
     the evolution is deterministic, so a repeat can never lead anywhere new.
     """
@@ -422,7 +449,7 @@ def _evolve(runner: _Runner, config: tuple, max_steps: int) -> Iterator[tuple]:
     recent: deque = deque((config,))
     seen = {config}
     for _ in range(max_steps):
-        config = runner.step(config)
+        config = stepper.step(config)
         if config in seen:
             return
         yield config
@@ -439,18 +466,16 @@ def _run(
     collect_trace: bool,
     want_reject: bool,
 ) -> Verdict:
-    runner, config, max_steps = _start(automaton, word, max_steps)
+    stepper, config, max_steps = _start(automaton, word, max_steps)
     raw_configs = []
     # Doom is successor-closed, so looking only at steps 0, 1, 2, 4, ... stops
     # a hopeless run at most twice as late, with no scan at every step.
-    doom = None if collect_trace or want_reject else runner.doom
-    for steps, config in enumerate(_evolve(runner, config, max_steps)):
+    doom = not (collect_trace or want_reject) and automaton.doomed is not None
+    for steps, config in enumerate(_evolve(stepper, config, max_steps)):
         if collect_trace:
-            raw_configs.append(tuple(map(runner.objs.__getitem__, config)))
-        outcome = runner.finality(config, want_reject)
-        if outcome is not None or (
-            doom and not steps & (steps - 1) and any(map(doom.__getitem__, config))
-        ):
+            raw_configs.append(stepper.states(config))
+        outcome = stepper.finality(config, want_reject)
+        if outcome is not None or (doom and not steps & (steps - 1) and stepper.doomed(config)):
             break
     if outcome is None:
         # The budget ran out, a repeat pinned the future orbit to non-final

@@ -15,6 +15,7 @@ from acaw import (
     ACCEPT, TIMEOUT, load_lt_expression, load_rule_table, lt_eval, parse_scanner, run_acceptor,
     run_decider, scanner_accepts,
 )
+from acaw import cli
 from acaw.cli import main
 
 DFA_PARITY = """\
@@ -89,6 +90,17 @@ def test_run_automaton_flag_and_positional(capsys):
     capsys.readouterr()
     assert main(["run", "zoo:pair01", "--automaton", "zoo:pair01", "--input", "01"]) == 2
     assert main(["run", "--input", "01"]) == 2
+
+
+def test_main_runs_repeatedly_on_one_parser(capsys):
+    for _ in range(2):
+        assert main(["run", "zoo:idmat", "--input", "1#", "--trace"]) == 3
+        assert capsys.readouterr().out.splitlines()[-1] == "timeout"
+        assert main(["run", "zoo:idmat", "--decider", "--input", "10#01"]) == 0
+        assert capsys.readouterr().out == "accept 8\n"
+        assert main(["run", "zoo:pair01"]) == 2
+        assert "the following arguments are required: --input" in capsys.readouterr().err
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_run_max_steps_override(capsys):

@@ -1,6 +1,8 @@
 """Engine semantics: stepping, verdicts, budgets, validation."""
 
+import dataclasses
 import itertools
+import random
 import weakref
 
 import pytest
@@ -30,7 +32,7 @@ from acaw import (
     set_automaton,
     validate,
 )
-from acaw.core import _CYCLE_WINDOW
+from acaw.core import _CYCLE_WINDOW, _evolve
 
 
 def shift_right_rule(left, center, right):
@@ -454,3 +456,45 @@ def test_engine_matches_reference_stepper_on_block_machines(family, role):
         verdict = run(machine, word, collect_trace=True)
         expected = reference_run(machine, word, default_max_steps(len(word)))
         assert (verdict.kind, verdict.steps, verdict.trace.configurations) == expected, word
+
+
+BLOCK_MACHINES = [("idmat", "acceptor"), ("idmat", "decider"), ("bin", "acceptor")]
+
+
+def members_and_corruptions(family, ks):
+    words = []
+    for k in ks:
+        member = family.generate(k)
+        words.append(member)
+        words += [member[:i] + sym + member[i + 1 :]
+                  for i in range(len(member)) for sym in "01#" if sym != member[i]]
+    return words
+
+
+@pytest.mark.parametrize("family, role", BLOCK_MACHINES)
+def test_block_kernel_matches_the_rule_on_long_words(family, role):
+    """The bit-plane kernel and the rule on the memo runner give equal verdicts
+    and steps on random words, members and their one-symbol corruptions, and
+    the kernel's configurations are the reference stepper's on long words."""
+    family = FAMILIES[family]
+    machine = getattr(family, role)()
+    by_rule = dataclasses.replace(machine, kernel=None)
+    run = run_decider if machine.is_decider else run_acceptor
+    rng = random.Random(1515)
+    words = ["".join(rng.choices("01#", k=rng.randint(10, 120))) for _ in range(1000)]
+    words += members_and_corruptions(family, range(1, 13 if family.name == "idmat" else 7))
+    for word in words:
+        seen, want = run(machine, word), run(by_rule, word)
+        assert (seen.kind, seen.steps) == (want.kind, want.steps), word
+    for word in words[:3] + [family.generate(5)]:
+        budget = default_max_steps(len(word))
+        assert list(configurations(machine, word)) == reference_evolution(machine, word, budget)
+
+
+@pytest.mark.parametrize("family", ["idmat", "bin"])
+def test_block_kernel_doomed_matches_the_doomed_face(family):
+    machine = FAMILIES[family].acceptor()
+    for word in (w for n in range(1, 7) for w in itertools.product("01#", repeat=n)):
+        run = machine.kernel(word)
+        for config in _evolve(run, run.start, default_max_steps(len(word))):
+            assert run.doomed(config) == any(map(machine.doomed, run.states(config))), word

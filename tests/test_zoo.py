@@ -22,7 +22,7 @@ from acaw import (
     witness_word,
     zoo_automaton,
 )
-from acaw import core
+from acaw import _blockca, core
 from acaw.zoo import (
     generate_bin,
     generate_idmat,
@@ -106,8 +106,9 @@ def test_idmat_member_step_counts():
 def test_block_machines_full_state_digest():
     """Pins every register of every cell of the idmat acceptor and decider and
     the bin acceptor on every ternary word of length <= 6.  The reference
-    stepper test calls the same rule on both sides, so only a pin like this
-    catches a rule rewrite that changes a state, or BCell's field order."""
+    stepper test compares the bit-plane kernel with ``_BlockRule``, so only a
+    pin like this catches a change that both make alike, or one to BCell's
+    field order."""
     digest = hashlib.sha256()
     for family, role in (("idmat", "acceptor"), ("idmat", "decider"), ("bin", "acceptor")):
         machine = getattr(FAMILIES[family], role)()
@@ -128,10 +129,13 @@ def ternary_words(max_len):
 @pytest.mark.parametrize("family", ["idmat", "bin"])
 def test_doomed_face_is_successor_closed_on_reached_triples(family):
     """No doomed state accepts, and every triple the runs stepped whose centre
-    is doomed has a doomed output, whatever its flanks."""
+    is doomed has a doomed output, whatever its flanks.  Runs step on the
+    kernel and fill no memo, so the rule is stepped on every configuration of
+    the traced runs, which cover the untraced runs' triples and more."""
     machine = FAMILIES[family].acceptor()
     for word in ternary_words(7):
-        run_acceptor(machine, word)
+        for config in run_acceptor(machine, word, collect_trace=True).trace.configurations:
+            core.global_step(machine, config)
     runner = core._runner_for(machine)
     doom, acc = runner.doom, runner.acc
     assert not any(d and a for d, a in zip(doom, acc))
@@ -168,8 +172,8 @@ def test_untraced_run_stops_within_twice_the_first_doomed_step(family, word, mon
     traced = run_acceptor(machine, word, collect_trace=True).trace.configurations
     first = next(t for t, config in enumerate(traced) if any(map(machine.doomed, config)))
     steps = []
-    step = core._Runner.step
-    monkeypatch.setattr(core._Runner, "step", lambda self, config: steps.append(config)
+    step = _blockca._BlockPlanes.step
+    monkeypatch.setattr(_blockca._BlockPlanes, "step", lambda self, config: steps.append(config)
                         or step(self, config))
     assert run_acceptor(machine, word).kind == TIMEOUT
     assert first <= len(steps) <= 2 * first < len(traced) - 1
