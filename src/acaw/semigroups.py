@@ -181,31 +181,71 @@ class Semigroup:
         return len(self.elements)
 
 
+def _algebra(n: int):
+    """``(encode, then)`` for transformations of ``n`` states.
+
+    ``then(t, u)`` is t followed by u: ``then(t, u)[i] == u[t[i]]``.  Up to
+    256 states a transformation is encoded as bytes and composed by one
+    ``bytes.translate``; beyond that, as a tuple.
+    """
+    if n > 256:
+        return tuple, lambda t, u: tuple(map(u.__getitem__, t))
+    pad = bytes(256 - n)
+    return bytes, lambda t, u: t.translate(u + pad)
+
+
+def _closure(dfa: Dfa):
+    """:func:`syntactic_semigroup`, encoded: ``({element: least word}, then)``."""
+    m = minimize(dfa)
+    index = {s: i for i, s in enumerate(m.states)}
+    encode, then = _algebra(len(m.states))
+    letters = [
+        (a, encode(index[m.transitions[(s, a)]] for s in m.states)) for a in m.alphabet
+    ]
+    words: dict = {}
+    for a, t in letters:
+        words.setdefault(t, a)
+    queue = list(words)
+    for t in queue:
+        word = words[t]
+        for a, letter in letters:
+            u = then(t, letter)
+            if u not in words:
+                words[u] = word + a
+                queue.append(u)
+    return words, then
+
+
+def _semilattice_failure(elements: list, then) -> Optional[tuple]:
+    """The first (e, x, y) of :func:`is_locally_semilattice`'s scan, or None."""
+    for e in elements:
+        if then(e, e) != e:
+            continue
+        local: dict = {}
+        for x in elements:
+            local.setdefault(then(then(e, x), e), x)
+        # By the time a is reached, every earlier b was checked against it, so
+        # only later ones are: the first failure found is the full scan's.
+        items = list(local.items())
+        for i, (a, x) in enumerate(items):
+            if then(a, a) != a:
+                return e, x, x
+            for b, y in items[i + 1:]:
+                if then(a, b) != then(b, a):
+                    return e, x, y
+    return None
+
+
 def syntactic_semigroup(dfa: Dfa) -> Semigroup:
     """The action semigroup of all non-empty words on the minimal DFA.
 
     Closure by breadth-first search from the single letters, so the stored
     representative of each element is length-lexicographically least.
     """
-    m = minimize(dfa)
-    index = {s: i for i, s in enumerate(m.states)}
-    letters = {
-        a: tuple(index[m.transitions[(s, a)]] for s in m.states) for a in m.alphabet
-    }
-    words: dict = {}
-    queue = []
-    for a in m.alphabet:
-        t = letters[a]
-        if t not in words:
-            words[t] = a
-            queue.append(t)
-    for t in queue:
-        for a in m.alphabet:
-            u = tuple(letters[a][i] for i in t)
-            if u not in words:
-                words[u] = words[t] + a
-                queue.append(u)
-    return Semigroup(elements=tuple(words), words=words)
+    words, _ = _closure(dfa)
+    return Semigroup(
+        elements=tuple(map(tuple, words)), words={tuple(t): w for t, w in words.items()}
+    )
 
 
 def idempotents(semigroup: Semigroup) -> list:
@@ -219,20 +259,13 @@ def is_locally_semilattice(semigroup: Semigroup):
     idempotent and x, y expose the failure: either exe is not idempotent
     (then x == y) or exe and eye do not commute.
     """
-    mult = semigroup.mult
-    for e in idempotents(semigroup):
-        local = {}
-        for x in semigroup.elements:
-            a = mult(mult(e, x), e)
-            if a not in local:
-                local[a] = x
-        for a, x in local.items():
-            if mult(a, a) != a:
-                return False, (e, x, x)
-            for b, y in local.items():
-                if mult(a, b) != mult(b, a):
-                    return False, (e, x, y)
-    return True, None
+    elements = semigroup.elements
+    encode, then = _algebra(len(elements[0]) if elements else 0)
+    decode = {encode(t): t for t in elements}
+    triple = _semilattice_failure(list(decode), then)
+    if triple is None:
+        return True, None
+    return False, tuple(decode[t] for t in triple)
 
 
 def is_locally_testable(dfa: Dfa):
@@ -242,8 +275,8 @@ def is_locally_testable(dfa: Dfa):
     success and otherwise a triple of representative words (e, x, y) from
     :func:`is_locally_semilattice` on the syntactic semigroup.
     """
-    semigroup = syntactic_semigroup(dfa)
-    ok, triple = is_locally_semilattice(semigroup)
-    if ok:
+    words, then = _closure(dfa)
+    triple = _semilattice_failure(list(words), then)
+    if triple is None:
         return True, None
-    return False, tuple(semigroup.words[t] for t in triple)
+    return False, tuple(words[t] for t in triple)

@@ -224,3 +224,41 @@ def test_is_locally_testable_on_knowns():
     verdict, witness = is_locally_testable(PARITY)
     assert not verdict
     assert witness == ("0", "1", "1")
+
+
+def full_scan(sg):
+    """The semilattice check written plainly: every pair, in element order."""
+    for e in idempotents(sg):
+        local = {}
+        for x in sg.elements:
+            local.setdefault(sg.mult(sg.mult(e, x), e), x)
+        for a, x in local.items():
+            if sg.mult(a, a) != a:
+                return False, (e, x, x)
+            for b, y in local.items():
+                if sg.mult(a, b) != sg.mult(b, a):
+                    return False, (e, x, y)
+    return True, None
+
+
+@given(dfas())
+def test_semilattice_check_finds_the_full_scans_first_failure(dfa):
+    sg = syntactic_semigroup(dfa)
+    assert is_locally_semilattice(sg) == full_scan(sg)
+    ok, triple = full_scan(sg)
+    assert is_locally_testable(dfa) == (ok, triple and tuple(sg.words[t] for t in triple))
+
+
+@pytest.mark.parametrize("n", [3, 256, 257, 300])
+def test_counter_semigroup_past_256_states(n):
+    # '1' counts mod n and '0' stays: the cyclic group of order n, which is
+    # not locally testable.  Past 256 states elements cannot be bytes.
+    counter = make_dfa(
+        f"mod{n}", n, {0}, {(i, a): (i + int(a)) % n for i in range(n) for a in "01"}
+    )
+    sg = syntactic_semigroup(counter)
+    assert len(sg) == n
+    assert all(type(t) is tuple and len(t) == n for t in sg.elements)
+    assert sg.words[tuple(range(n))] == "0"
+    assert is_locally_testable(counter) == (False, ("0", "1", "1"))
+    assert is_locally_semilattice(sg) == full_scan(sg)
