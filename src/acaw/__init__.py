@@ -28,9 +28,11 @@ from .core import (
     default_max_steps,
     global_step,
     initial_configuration,
+    leftmost_open,
     render_configuration,
     run_acceptor,
     run_decider,
+    run_many,
     set_automaton,
     validate,
 )

@@ -48,9 +48,14 @@ The rule builds its states positionally, for speed, so ``BCell``'s field
 order is part of the trace contract: a trace's configurations are these tuples.
 
 Runs do not call the rule: each machine's ``kernel`` is ``_BlockPlanes``,
-which steps every cell at once on bit-planes.  Bit i of a plane is cell i,
-so a cell reads its left neighbour's plane as ``(x << 1) & mask`` and its
-right neighbour's as ``x >> 1``.  ``sym``, ``lnb`` and ``rnb`` never change
+which steps every cell at once on bit-planes.  It lays out one or more words
+side by side, each followed by a spacer cell; bit i of a plane is cell i
+of that layout, so a cell reads its left neighbour's plane as ``x << 1`` and
+its right neighbour's as ``x >> 1``.  A spacer holds no bit in any plane, so
+it reads as the border to both words beside it: a left read is cut at a
+spacer by the masked plane it meets, and the conveyor's right shift is
+masked to the words' cells.  The first and last cells of the words are the
+planes ``firsts`` and ``lasts``; ``sym``, ``lnb`` and ``rnb`` never change
 and are built once per run.  Each other field has one plane per value (ls
 ``0``/``1``/``#``, hold ``0``/``1``/``#``/``q``, rf ``0``/``1``/``H``/``X``,
 marker ``C``/``S``) or per flag (emit; the verifier's presence, mode ``C``,
@@ -58,14 +63,19 @@ par 1, fsm ``p`` and ones; ok; dead), and the remaining value (ls ``q``,
 hold and rf ``.``, no verifier, marker ``-``) is a cell with none of its
 field's bits set.  ``age`` and ``phase`` are the same in every cell, so
 they are two ints.  A step is about 150 big-int operations whatever the
-word's length.  ``states`` decodes a configuration to the same ``BCell``
-tuples the rule builds, so traces are unchanged; ``_BlockRule`` stays the
-reference the kernel is tested against, and the rule memo steps these
-machines for ``core.global_step`` and the other object-level helpers.
+words' lengths.  Each word's verdicts are read at its spacer bit, by one
+add that carries into the spacer exactly when the test holds on all the
+word's cells: ``ok + firsts`` (all ok), ``(mc & s1) + cells`` (some clean
+marker on a 1, so no census rejection) and ``(dead & ~ok) + cells`` (some
+doomed cell).  ``states`` decodes a one-word configuration to the same
+``BCell`` tuples the rule builds, so traces are unchanged; ``_BlockRule``
+stays the reference the kernel is tested against, and the rule memo steps
+these machines for ``core.global_step`` and the other object-level helpers.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import itertools
 from typing import NamedTuple, Optional
@@ -267,9 +277,11 @@ def _rejecting_decider(state) -> bool:
 
 # Positions of three planes in a _BlockPlanes configuration.
 _OK, _DEAD, _MC = 17, 18, 19
-# A word's planes and neighbour kinds, by C-level string operations.
-_IS0 = str.maketrans("01#", "100")
-_IS1 = str.maketrans("01#", "010")
+# The words' planes and neighbour kinds, by C-level string operations; '.'
+# is the spacer after each word.
+_IS0 = str.maketrans("01#.", "1000")
+_IS1 = str.maketrans("01#.", "0100")
+_CELL = str.maketrans("01#.", "1110")
 _KIND = str.maketrans("01", "bb")
 # Trace decoding: one cell's bits of a field's planes, as a string, to its value.
 _LS = {"100": "0", "010": "1", "001": "#", "000": "q"}
@@ -284,67 +296,82 @@ _V.update(
 )
 
 
+def _lowest(bits: int) -> Optional[int]:
+    """The position of the lowest set bit, or None for no bits."""
+    return (bits & -bits).bit_length() - 1 if bits else None
+
+
 class _BlockPlanes:
-    """One run of a block machine on bit-planes, stepping as ``_BlockRule`` does.
+    """A run of a block machine on bit-planes, stepping as ``_BlockRule`` does,
+    over one or more words side by side, each followed by a spacer cell.
 
     A configuration is a tuple of 21 planes (ls 0/1/#, hold 0/1/#/q, rf
     0/1/H/X, emit, verifier present/mode C/par 1/fsm p/ones, ok, dead,
     marker C/S) and then age and phase; equal states give equal
-    configurations.  The step-0 configuration is ``()``.
+    configurations.  The step-0 configuration is ``()``.  Word j's verdict
+    bit is its spacer's, at position ``ends[j]``.
     """
 
-    def __init__(self, shift: bool, decider: bool, symbols: tuple):
+    def __init__(self, shift: bool, decider: bool, words: list):
         self.shift, self.decider = shift, decider
-        self.word = word = "".join(symbols)
-        n = len(word)
-        self.mask = mask = (1 << n) - 1
-        self.spec = f"0{n}b"
-        cells = word[::-1]  # int(s, 2) reads the last cell as bit 0
-        self.s0, self.s1 = s0, s1 = int(cells.translate(_IS0), 2), int(cells.translate(_IS1), 2)
+        self.words = words
+        text = ".".join(map("".join, words))[::-1]  # int(s, 2) reads bit 0 last
+        self.cells = cells = int(text.translate(_CELL), 2)
+        self.spacers = ((2 << len(text)) - 1) ^ cells  # the last word's spacer too
+        self.s0, self.s1 = s0, s1 = int(text.translate(_IS0), 2), int(text.translate(_IS1), 2)
         self.b = s0 | s1
-        self.sh = mask ^ self.b
-        self.lh = (self.sh << 1) & mask
-        self.lb = (self.b << 1) & mask
-        self.rq = 1 << (n - 1)
-        # trace decoding's static fields; neighbours read 'q' past the ends
-        self.lnb = "q" + word[:-1].translate(_KIND)
-        self.rnb = word[1:].translate(_KIND) + "q"
+        self.sh = cells ^ self.b
+        self.lh = (self.sh << 1) & cells
+        self.lb = (self.b << 1) & cells
+        self.firsts = cells & ~(cells << 1)
+        self.lasts = cells & ~(cells >> 1)
         self.start = ()
+
+    @functools.cached_property
+    def ends(self) -> array.array:
+        # an array, not a list of ints: a batch may hold thousands of words
+        return array.array("q", itertools.accumulate(
+            map(len, self.words), lambda p, n: p + n + 1, initial=-1))[1:]
 
     def step(self, config: tuple) -> tuple:
         if not config:
             return self._first()
         (ls0, ls1, lsh, hd0, hd1, hdh, hdq, rf0, rf1, rfh, rfx, emit, vp, vc, v1, vfp,
          vones, ok, dead, mc, ms, age, phase) = config
-        mask, b, sh, s0, s1 = self.mask, self.b, self.sh, self.s0, self.s1
+        cells, b, sh, s0, s1 = self.cells, self.b, self.sh, self.s0, self.s1
+        firsts, lasts = self.firsts, self.lasts
 
-        # The chain, read from the left (the border reads '.'), and the
-        # conveyor, read from the right (the border reads 'q').  A left read
-        # keeps a bit past the last cell until it meets a masked plane.
+        # The chain, read from the left (a spacer reads '.'), and the conveyor,
+        # read from the right (a spacer reads 'q').  A left read keeps a bit on
+        # the spacer until it meets a masked plane; a right read is masked to
+        # the cells at once, so no spacer ever holds a bit.
         l0, l1, lh, lx = rf0 << 1, rf1 << 1, rfh << 1, rfx << 1
-        n0, n1 = ls0 >> 1, ls1 >> 1
-        idle = mask ^ emit
+        n0, n1 = (ls0 >> 1) & cells, (ls1 >> 1) & cells
+        idle = cells ^ emit
         she, be = sh & emit, b & emit
         dead |= she & (l0 | l1 | lh | lx)  # a clash: the left block is shorter
         stop = (she & ~(n0 | n1)) | (be & (hdh | hdq))  # cells emitting their head
         rf0 = (idle & l0) | (she & n0) | (be & hd0)
         rf1 = (idle & l1) | (she & n1) | (be & hd1)
-        rfh = (b & idle & lh) | stop
-        rfx = (idle & lx) | (sh & idle & lh)
-        hd0, hd1, hdh, hdq = be & ls0, be & ls1, be & lsh, be & ~(ls0 | ls1 | lsh)
+        idle_lh = idle & lh
+        rfh = (b & idle_lh) | stop
+        rfx = (idle & lx) | (sh & idle_lh)
+        hd0, hd1, hdh = be & ls0, be & ls1, be & lsh
+        hdq = be ^ (hd0 | hd1 | hdh)  # ls values are one-hot, 'q' has no bit
         emit ^= stop
-        ls0, ls1, lsh = n0, n1, lsh >> 1
+        ls0, ls1, lsh = n0, n1, (lsh >> 1) & cells
 
         # Visits at their par-1 step move right, out of block cells only.
-        lv = (vp & v1 & b) << 1
+        lv = (v1 & b) << 1  # par 1 implies a visit
         lvc, lvp, lvo = (vc << 1) & lv, (vfp << 1) & lv, (vones << 1) & lv
-        same = (s0 & rf0) | (s1 & rf1)
+        undead = ~dead
         if self.shift:
-            ok |= sh & lv & ~dead
+            ok |= sh & lv & undead
         else:
-            ok |= sh & lv & ~dead & (~lvc | lvp)
-        live = b & ~dead
-        visited, fresh = live & vp, live & ~vp
+            ok |= sh & lv & undead & (~lvc | lvp)
+        live = b & undead
+        visited = live & vp
+        fresh = live ^ visited
         par0 = visited & ~v1
         counter = 0 if self.shift else par0 & vc
         moved = par0 ^ counter
@@ -352,22 +379,23 @@ class _BlockPlanes:
         if counter:
             # The stream slot is the previous block's same-index bit.
             unset = counter & ~vfp
+            same = (s0 & rf0) | (s1 & rf1)
             carry = unset & s1 & rf0
             passed = (unset & same) | carry | (counter & vfp & s0 & rf1)
             dead |= counter ^ passed
             fsm, ones = (vfp | carry) & passed, vones & s1 & passed
-            going = passed & ~self.rq
-            ok |= going | (passed & self.rq & fsm & ones)
+            going = passed & ~lasts
+            ok |= going | (passed & lasts & fsm & ones)
             nvp |= going
             nvc |= going
             nv1 |= going
             nvfp |= fsm & going
             nvo |= ones & going
 
-        # A visit starts from the left, at the first cell on step 1, or at a
-        # block's first cell when the head arrives.
+        # A visit starts from the left, at a word's first cell on step 1, or at
+        # a block's first cell when the head arrives.
         from_left = fresh & lv
-        first = (fresh & 1) if age == 0 else 0
+        first = (fresh & firsts) if age == 0 else 0
         comparing = fresh & ~lv & self.lh & rfh
         entering = from_left | first | comparing
         if entering:
@@ -375,12 +403,13 @@ class _BlockPlanes:
             mode_f = entering ^ mode_c
             fsm, ones = from_left & lvp, (from_left & lvo) | first | comparing
             if self.shift:  # an F visit wants a 1 in the first cell, 0 elsewhere
-                passed = (mode_f & ((1 & s1) | (s0 & ~1))) | (
+                same = (s0 & rf0) | (s1 & rf1)
+                passed = (mode_f & ((firsts & s1) | (s0 & ~firsts))) | (
                     mode_c & ((self.lh & s0) | (~self.lh & same)))
             else:
                 passed = (mode_f & s0) | mode_c
             dead |= entering ^ passed
-            last = passed & self.rq
+            last = passed & lasts
             going = passed ^ last
             if self.shift:
                 ok |= going | (last & s1)
@@ -403,39 +432,57 @@ class _BlockPlanes:
 
     def _first(self) -> tuple:
         """Step 1: every cell initialised from its symbol and its neighbours'."""
-        b, sh = self.b, self.sh
+        b, sh, firsts = self.b, self.sh, self.firsts
         dead = sh & ~(self.lb & (b >> 1))
-        mc = b & (1 | self.lh) if self.decider else 0
-        return (self.s0, self.s1, sh, 0, 0, 0, 0, 0, 0, 0, 0, sh | 1, 0, 0, 0, 0, 0, 0,
+        mc = b & (firsts | self.lh) if self.decider else 0
+        return (self.s0, self.s1, sh, 0, 0, 0, 0, 0, 0, 0, 0, sh | firsts, 0, 0, 0, 0, 0, 0,
                 dead, mc, 0, 0, 1 if self.decider else 0)
 
-    def finality(self, config: tuple, want_reject: bool) -> Optional[str]:
-        if not config:
-            return None
-        phase = config[-1]
-        if config[_OK] == self.mask and not (self.decider and phase == 1):
-            return ACCEPT
-        if want_reject and phase == 1 and not config[_MC] & self.s1:
-            return REJECT
-        return None
+    def finality(self, config: tuple, want_reject: bool) -> tuple[int, int]:
+        """The verdict bits of the words that accept and of those that reject.
 
-    def doomed(self, config: tuple) -> bool:
-        return bool(config) and config[_DEAD] & ~config[_OK] != 0
+        Adding ``firsts`` carries into a word's spacer exactly when all its
+        cells are ok; adding ``cells`` carries there exactly when some cell
+        holds a clean marker on a 1, which is what spares it a census."""
+        if not config:
+            return 0, 0
+        if config[-1] != 1 or not self.decider:
+            return (config[_OK] + self.firsts) & self.spacers, 0
+        if want_reject:
+            return 0, ~((config[_MC] & self.s1) + self.cells) & self.spacers
+        return 0, 0
+
+    def doomed(self, config: tuple) -> int:
+        """The verdict bits of the words with a doomed cell."""
+        if not config:
+            return 0
+        return ((config[_DEAD] & ~config[_OK]) + self.cells) & self.spacers
+
+    def leftmost_open(self, config: tuple) -> tuple[Optional[int], Optional[int]]:
+        """A one-word run's leftmost cell that does not accept and leftmost
+        that does not reject, each None when every cell does."""
+        if not config:
+            return 0, 0
+        if config[-1] == 1 and self.decider:
+            return 0, _lowest(config[_MC] & self.s1)
+        return _lowest(self.cells & ~config[_OK]), 0
 
     def states(self, config: tuple) -> tuple:
+        """A one-word run's cells, as the rule builds them."""
+        word = "".join(self.words[0])
         if not config:
-            return tuple(self.word)
-        bits = [format(x, self.spec)[::-1] for x in config[:-2]]
+            return tuple(word)
+        bits = [format(x, f"0{len(word)}b")[::-1] for x in config[:-2]]
         ls, hold, rf = (map("".join, zip(*bits[i:j])) for i, j in ((0, 3), (3, 7), (7, 11)))
         return tuple(map(_new, itertools.repeat(BCell), zip(
-            self.word, self.lnb, self.rnb, itertools.repeat(config[-2]),
+            word, "q" + word[:-1].translate(_KIND), word[1:].translate(_KIND) + "q",
+            itertools.repeat(config[-2]),
             map(_LS.__getitem__, ls), map(_HOLD.__getitem__, hold),
             map(_RF.__getitem__, rf), map(_BOOL.__getitem__, bits[11]),
             map(_V.__getitem__, map("".join, zip(*bits[12:17]))),
             map(_BOOL.__getitem__, bits[17]), map(_BOOL.__getitem__, bits[18]),
             itertools.repeat(config[-1]), map(_MARKER.__getitem__, map("".join, zip(*bits[19:]))),
         )))
-
 
 
 def block_automaton(name: str, compare: str, decider: bool) -> Automaton:

@@ -28,6 +28,7 @@ from .core import (
     ParameterError,
     run_acceptor,
     run_decider,
+    run_many,
 )
 
 CSV_HEADER = ("family", "k", "n", "verdict", "steps")
@@ -248,18 +249,24 @@ def verify_equivalence(
         runner = run_decider
     else:
         raise ParameterError(f"mode must be acceptor or decider, not {mode!r}")
+    words = _lex_words(automaton.input_alphabet, max_len)
+    if automaton.kernel is None:
+        # Word by word, through this module's run_acceptor and run_decider.
+        outcomes = ((w, runner(automaton, w, max_steps=max_steps).kind) for w in words)
+    else:
+        words = list(words)
+        outcomes = zip(words, [kind for kind, _ in run_many(automaton, words, max_steps)])
     mismatches = []
     checked = 0
-    for word in _lex_words(automaton.input_alphabet, max_len):
+    for word, kind in outcomes:
         checked += 1
-        verdict = runner(automaton, word, max_steps=max_steps)
         want = bool(oracle(word))
         if mode == "acceptor":
-            bad = (verdict.kind == ACCEPT) != want
+            bad = (kind == ACCEPT) != want
         else:
-            bad = verdict.kind != (ACCEPT if want else REJECT)
+            bad = kind != (ACCEPT if want else REJECT)
         if bad:
-            mismatches.append((word, verdict.kind, want))
+            mismatches.append((word, kind, want))
     return VerifyReport(
         automaton=automaton.name,
         oracle=getattr(oracle, "__name__", "oracle"),

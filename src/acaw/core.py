@@ -11,10 +11,13 @@ accepting or uniformly rejecting configuration fixes the verdict.
 
 from __future__ import annotations
 
+import array
+import bisect
+import functools
 import itertools
 import operator
 import weakref
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -93,17 +96,24 @@ class Automaton:
     doomed; traced runs and deciders ignore it.
 
     ``kernel``, optional, runs the machine without calling its rule or faces:
-    ``kernel(symbols)`` returns a run of that input with ``start``, its step-0
-    configuration, and ``step(config)``, ``finality(config, want_reject)``,
-    ``doomed(config)`` and ``states(config)``.  Its configurations are any
-    hashable values, equal exactly when their cells' states are; ``states``
-    gives those states as the rule would, and the other three answer as the
-    rule and faces would (``finality`` as :func:`classify`, ``doomed`` whether
-    some cell is doomed).  The run helpers and :func:`configurations` step on
-    the kernel; :func:`global_step`, :func:`classify`, :func:`face_bits`,
-    :func:`validate` and :func:`observe` always use the rule and faces.  A
-    ``dataclasses.replace`` that changes ``rule`` or a face must also set
-    ``kernel=None``.
+    ``kernel(words)`` takes a list of checked inputs (strings or tuples of
+    symbols) and returns one run of them side by side, each word evolving as
+    it would alone.  The run has ``start``, its step-0 configuration,
+    ``step(config)``, and ``ends``, the words' bit positions in ascending
+    order.
+    ``finality(config, want_reject)`` gives two ints, the bits of the words
+    that accept and of those that reject (as :func:`classify` judges each
+    word's cells), and ``doomed(config)`` the bits of the words with a doomed
+    cell.  A one-word run also gives ``states(config)``, the cells' states as
+    the rule would build them, and ``leftmost_open(config)``, its leftmost
+    cell that does not accept and leftmost that does not reject (None where
+    every cell does).  Configurations are any hashable values, equal exactly
+    when their cells' states are.  A single run is the one-word case;
+    :func:`run_many` steps many words as one run.  The run helpers and
+    :func:`configurations` step on the kernel; :func:`global_step`,
+    :func:`classify`, :func:`face_bits`, :func:`validate` and :func:`observe`
+    always use the rule and faces.  A ``dataclasses.replace`` that changes
+    ``rule`` or a face must also set ``kernel=None``.
     """
 
     name: str
@@ -117,7 +127,7 @@ class Automaton:
     # default step budget to cover it.  None means no such promise.
     time_bound: Optional[int] = None
     doomed: Optional[Callable[[Any], bool]] = None
-    kernel: Optional[Callable[[tuple], Any]] = None
+    kernel: Optional[Callable[[list], Any]] = None
 
     @property
     def is_decider(self) -> bool:
@@ -202,7 +212,8 @@ def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
     for non-empty windows.
     """
     runner = _runner_for(automaton)
-    return runner.finality(tuple(map(runner.intern, config)), automaton.is_decider)
+    accepted, rejected = runner.finality(tuple(map(runner.intern, config)), automaton.is_decider)
+    return ACCEPT if accepted else REJECT if rejected else None
 
 
 def face_bits(automaton: Automaton, states: Iterable[Any]) -> tuple[list, list]:
@@ -225,6 +236,30 @@ def configurations(
     stepper, config, max_steps = _start(automaton, word, max_steps)
     for config in _evolve(stepper, config, max_steps):
         yield stepper.states(config)
+
+
+def leftmost_open(
+    automaton: Automaton, word: Iterable[str], steps: int
+) -> list[tuple[Optional[int], Optional[int]]]:
+    """Per step 0, 1, ..., ``steps`` of the run on ``word``: its leftmost cell
+    that does not accept and its leftmost that does not reject.
+
+    Each is None when every cell does, and the list ends at the first step
+    with a None.  A run that repeats goes on along its cycle, so only a final
+    configuration ends the list early.  Reads the faces' bits, from the
+    kernel's planes or the rule memo's interner, and decodes no state.
+    """
+    stepper, config, steps = _start(automaton, word, steps)
+    history, opens = [], []
+    for config in _evolve(stepper, config, steps):
+        opens.append(stepper.leftmost_open(config))
+        if None in opens[-1]:
+            return opens
+        history.append(config)
+    if len(opens) <= steps:  # the run cycled: the orbit goes on from the repeat
+        cycle = opens[history.index(stepper.step(history[-1])) :]
+        opens += cycle * ((steps + 1 - len(opens)) // len(cycle) + 1)
+    return opens[: steps + 1]
 
 
 def validate(automaton: Automaton) -> Iterator[tuple[tuple, Any]]:
@@ -362,11 +397,16 @@ class _Memo(dict):
         return rid
 
 
+# A runner's finality answers, built once: a run asks after every step.
+_ACCEPTED, _REJECTED, _OPEN = (True, False), (False, True), (False, False)
+
+
 class _Runner:
     """Per-machine cache: states interned to ints, the rule memoized on triples.
 
-    The stepper of every machine without a kernel, with the run members a
-    kernel's runs have (``step``, ``finality``, ``doomed``, ``states``), and
+    The stepper of every machine without a kernel, with the members a
+    kernel's one-word runs have (``step``, ``finality``, ``doomed``,
+    ``states``, ``leftmost_open``; its one word's bit is 1), and
     the one behind the object-level helpers for every machine.
     Configurations are tuples of state ids.  A step is one C-level ``map`` of
     the memo's ``__getitem__`` over the cells' (left, centre, right) triples;
@@ -383,23 +423,29 @@ class _Runner:
         self.intern = states.__getitem__
         self.objs, self.acc, self.rej = states.objs, states.acc, states.rej
         self.doom = states.doom if automaton.doomed else None
+        # bound once: a run calls these on every step
+        self.lookup, self.accepts = self.table.__getitem__, self.acc.__getitem__
 
     def step(self, config: tuple) -> tuple:
-        return tuple(map(self.table.__getitem__, zip((0,) + config, config, config[1:] + (0,))))
+        return tuple(map(self.lookup, zip((0,) + config, config, config[1:] + (0,))))
 
     def outputs(self, triples: Iterable[tuple]) -> list:
         """The rule on each triple of states, memoizing none (``validate``'s walk)."""
         return list(itertools.starmap(self.rule, triples))
 
-    def finality(self, config: tuple, want_reject: bool) -> Optional[str]:
-        if all(map(self.acc.__getitem__, config)):
-            return ACCEPT
+    def finality(self, config: tuple, want_reject: bool) -> tuple[bool, bool]:
+        if all(map(self.accepts, config)):
+            return _ACCEPTED
         if want_reject and all(map(self.rej.__getitem__, config)):
-            return REJECT
-        return None
+            return _REJECTED
+        return _OPEN
 
     def doomed(self, config: tuple) -> bool:
         return any(map(self.doom.__getitem__, config))
+
+    def leftmost_open(self, config: tuple) -> tuple[Optional[int], Optional[int]]:
+        bits = ([*map(face.__getitem__, config)] for face in (self.acc, self.rej))
+        return tuple(None if all(face) else face.index(False) for face in bits)
 
     def states(self, config: tuple) -> tuple:
         return tuple(map(self.objs.__getitem__, config))
@@ -416,11 +462,10 @@ def _runner_for(automaton: Automaton) -> _Runner:
     return runner
 
 
-def _start(
+def _checked(
     automaton: Automaton, word: Iterable[str], max_steps: Optional[int]
-) -> tuple[Any, Any, int]:
-    """The run's stepper (the kernel's run, else the machine's runner), its
-    step-0 configuration and the budget."""
+) -> tuple[tuple, int]:
+    """The word's symbols, checked, and the step budget of a run on it."""
     symbols = initial_configuration(automaton, word)
     if not symbols:
         raise EmptyInputError(f"{automaton.name}: no run on the empty word")
@@ -430,8 +475,17 @@ def _start(
             max_steps = max(max_steps, automaton.time_bound + 1)
     elif max_steps < 0:
         raise ParameterError(f"max_steps must be >= 0, not {max_steps}")
+    return symbols, max_steps
+
+
+def _start(
+    automaton: Automaton, word: Iterable[str], max_steps: Optional[int]
+) -> tuple[Any, Any, int]:
+    """The run's stepper (the kernel's one-word run, else the machine's
+    runner), its step-0 configuration and the budget."""
+    symbols, max_steps = _checked(automaton, word, max_steps)
     if automaton.kernel is not None:
-        run = automaton.kernel(symbols)
+        run = automaton.kernel([symbols])
         return run, run.start, max_steps
     runner = _runner_for(automaton)
     return runner, tuple(map(runner.intern, symbols)), max_steps
@@ -471,18 +525,95 @@ def _run(
     # Doom is successor-closed, so looking only at steps 0, 1, 2, 4, ... stops
     # a hopeless run at most twice as late, with no scan at every step.
     doom = not (collect_trace or want_reject) and automaton.doomed is not None
+    outcome, at = TIMEOUT, None
     for steps, config in enumerate(_evolve(stepper, config, max_steps)):
         if collect_trace:
             raw_configs.append(stepper.states(config))
-        outcome = stepper.finality(config, want_reject)
-        if outcome is not None or (doom and not steps & (steps - 1) and stepper.doomed(config)):
+        accepted, rejected = stepper.finality(config, want_reject)
+        if accepted or rejected:
+            outcome, at = (ACCEPT if accepted else REJECT), steps
             break
-    if outcome is None:
-        # The budget ran out, a repeat pinned the future orbit to non-final
-        # configurations already classified, or a doomed cell bars acceptance.
-        outcome, steps = TIMEOUT, None
+        if doom and not steps & (steps - 1) and stepper.doomed(config):
+            break
+    # Otherwise a timeout: the budget ran out, a repeat pinned the future orbit
+    # to non-final configurations already classified, or a doomed cell bars
+    # acceptance.
     trace = Trace(automaton, tuple(raw_configs)) if collect_trace else None
-    return Verdict(outcome, steps, trace)
+    return Verdict(outcome, at, trace)
+
+
+def _mask(positions: Iterable[int], width: int) -> int:
+    """An int with the given bits set, built as one digit string."""
+    digits = bytearray(b"0" * width)
+    for p in positions:
+        digits[width - 1 - p] = 49  # ord("1")
+    return int(digits, 2)
+
+
+def _positions(bits: int) -> list[int]:
+    """The positions of the set bits, read from one ``format``: O(width)."""
+    text = format(bits, "b")[::-1]
+    found, p = [], text.find("1")
+    while p >= 0:
+        found.append(p)
+        p = text.find("1", p + 1)
+    return found
+
+
+def run_many(
+    automaton: Automaton, words: Iterable[Iterable[str]], max_steps: Optional[int] = None
+) -> list[tuple[str, Optional[int]]]:
+    """Each word's ``(kind, steps)``, as :func:`run_acceptor` or
+    :func:`run_decider` (by the machine's mode) gives them untraced.
+
+    Every word is checked before anything steps.  A machine with a kernel
+    runs all the words as one run through :func:`_evolve`; each word keeps its
+    own budget (``max_steps``, or its length's default), stops at its own
+    verdict, and, on an acceptor with a doomed face, stops as a timeout once
+    one of its cells is doomed (looked for at steps 0, 1, 2, 4, ...).  A repeat
+    of the whole run's configuration pins every open word to a cycle, so each
+    is a timeout, as its single run would be.  Other machines run word by
+    word.
+    """
+    want_reject = automaton.is_decider
+    # A string is already the tuple of its one-character symbols; keeping it
+    # saves a tuple per word.
+    inputs = [word if isinstance(word, str) else tuple(word) for word in words]
+    symbols = itertools.chain.from_iterable(inputs)
+    if not all(inputs) or not set(automaton.input_alphabet).issuperset(symbols):
+        for word in inputs:
+            _checked(automaton, word, max_steps)  # raises at the first bad word
+    # A budget depends only on the word's length: check one word per length.
+    by_length = {len(word): word for word in inputs}
+    budget_of = {n: _checked(automaton, word, max_steps)[1] for n, word in by_length.items()}
+    budgets = list(map(budget_of.__getitem__, map(len, inputs)))
+    if automaton.kernel is None or not inputs:
+        verdicts = (_run(automaton, s, b, False, want_reject) for s, b in zip(inputs, budgets))
+        return [(v.kind, v.steps) for v in verdicts]
+    run = automaton.kernel(inputs)
+    ends = run.ends
+    width = ends[-1] + 1
+    by_budget: dict[int, array.array] = defaultdict(functools.partial(array.array, "q"))
+    for p, budget in zip(ends, budgets):
+        by_budget[budget].append(p)
+    expiring = {budget: _mask(ps, width) for budget, ps in by_budget.items()}
+    open_ = _mask(ends, width)
+    doom = not want_reject and automaton.doomed is not None
+    results: list = [(TIMEOUT, None)] * len(inputs)
+    for steps, config in enumerate(_evolve(run, run.start, max(budgets))):
+        accepted, rejected = run.finality(config, want_reject)
+        for kind, bits in ((ACCEPT, accepted & open_), (REJECT, rejected & open_)):
+            if bits:
+                open_ ^= bits
+                outcome = kind, steps
+                for p in _positions(bits):
+                    results[bisect.bisect_left(ends, p)] = outcome
+        if doom and not steps & (steps - 1):
+            open_ &= ~run.doomed(config)
+        open_ &= ~expiring.get(steps, 0)
+        if not open_:
+            break
+    return results
 
 
 def run_acceptor(

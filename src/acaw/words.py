@@ -20,8 +20,8 @@ from .core import (
     BudgetError,
     ModeError,
     ParameterError,
-    face_bits,
-    global_step,
+    global_step,  # unused here; benchmarks/tracing.py wraps this module attribute
+    leftmost_open,
     run_decider,
 )
 
@@ -185,21 +185,16 @@ def critical_contract(decider: Automaton, word: str, i: int) -> str:
     if i < 0:
         raise ParameterError("step budget must be non-negative")
 
-    verdict = run_decider(decider, word, max_steps=i, collect_trace=True)
-    if verdict.kind != TIMEOUT:
+    opens = leftmost_open(decider, word, i)
+    if None in opens[-1]:
         raise BudgetError(
-            f"{decider.name} decides {word!r} in {verdict.steps} steps; need more than {i}"
+            f"{decider.name} decides {word!r} in {len(opens) - 1} steps; need more than {i}"
         )
-    configs = verdict.trace.configurations
-    if len(configs) <= i:  # the run cycled: continue the orbit from the repeat
-        cycle = configs[configs.index(global_step(decider, configs[-1])) :]
-        configs += cycle * ((i + 1 - len(configs)) // len(cycle) + 1)
 
     n = len(word)
     keep: set[int] = set()
-    for j in range(i + 1):
-        accepts, rejects = face_bits(decider, configs[j])
-        for centre in (accepts.index(False), rejects.index(False)):
+    for j, centres in enumerate(opens):
+        for centre in centres:
             keep.update(range(max(0, centre - j), min(n, centre + j + 1)))
 
     contracted = "".join(word[z] for z in sorted(keep))

@@ -3,8 +3,9 @@
 The simple machines are defined by rule tables in the text format of
 :mod:`acaw.rulefile`, so ``acaw zoo build`` can write them back out verbatim.
 The block-structured ones (``bin``, ``idmat``) come from
-:mod:`acaw._blockca`; their state space is unbounded over all inputs
-(registers scale with block length), so they have no flat table form.
+:mod:`acaw._blockca`; their cells have finitely many states, but those are
+built on the fly and never listed (``states`` is None), so they have no
+flat table form.
 """
 
 from __future__ import annotations

@@ -25,13 +25,16 @@ from acaw import (
     default_max_steps,
     global_step,
     initial_configuration,
+    leftmost_open,
     parse_rule_table,
     render_configuration,
     run_acceptor,
     run_decider,
+    run_many,
     set_automaton,
     validate,
 )
+from acaw import _blockca, core, zoo_automaton
 from acaw.core import _CYCLE_WINDOW, _evolve
 
 
@@ -495,6 +498,97 @@ def test_block_kernel_matches_the_rule_on_long_words(family, role):
 def test_block_kernel_doomed_matches_the_doomed_face(family):
     machine = FAMILIES[family].acceptor()
     for word in (w for n in range(1, 7) for w in itertools.product("01#", repeat=n)):
-        run = machine.kernel(word)
+        run = machine.kernel([word])
         for config in _evolve(run, run.start, default_max_steps(len(word))):
-            assert run.doomed(config) == any(map(machine.doomed, run.states(config))), word
+            assert bool(run.doomed(config)) == any(map(machine.doomed, run.states(config))), word
+
+
+def single_runs(machine, words, max_steps=None):
+    run = run_decider if machine.is_decider else run_acceptor
+    return [(v.kind, v.steps) for v in (run(machine, w, max_steps=max_steps) for w in words)]
+
+
+@pytest.mark.parametrize("family, role", BLOCK_MACHINES)
+def test_run_many_matches_single_runs_on_short_words(family, role):
+    machine = getattr(FAMILIES[family], role)()
+    words = [w for n in range(1, 9) for w in itertools.product("01#", repeat=n)]
+    assert run_many(machine, words) == single_runs(machine, words)
+
+
+@pytest.mark.parametrize("family, role", BLOCK_MACHINES)
+def test_run_many_matches_single_runs_on_mixed_lengths(family, role):
+    """Words of lengths 10-120 share one run, each with its own default
+    budget, and with one explicit budget that cuts some of them short."""
+    family = FAMILIES[family]
+    machine = getattr(family, role)()
+    rng = random.Random(16)
+    words = ["".join(rng.choices("01#", k=rng.randint(10, 120))) for _ in range(300)]
+    words += [family.generate(k) for k in range(1, 10 if family.name == "idmat" else 6)]
+    rng.shuffle(words)
+    assert run_many(machine, words) == single_runs(machine, words)
+    assert run_many(machine, words, max_steps=20) == single_runs(machine, words, 20)
+
+
+@pytest.mark.parametrize("family, role", BLOCK_MACHINES)
+def test_run_many_keeps_each_words_own_budget(family, role, monkeypatch):
+    """With a budget of n steps, short members run out while long words keep
+    the run going; each must still time out where its single run does."""
+    monkeypatch.setattr(core, "default_max_steps", lambda n: n)
+    family = FAMILIES[family]
+    machine = getattr(family, role)()
+    words = [family.generate(k) for k in range(1, 10 if family.name == "idmat" else 6)]
+    words += ["".join(random.Random(k).choices("01#", k=120)) for k in range(5)]
+    want = single_runs(machine, words)
+    assert (TIMEOUT, None) in want[:3]
+    assert run_many(machine, words) == want
+
+
+@pytest.mark.parametrize("name, decider", [("someone", True), ("pair01", False)])
+def test_run_many_runs_word_by_word_without_a_kernel(name, decider):
+    machine = zoo_automaton(name, decider=decider)
+    assert machine.kernel is None
+    words = [w for n in range(1, 9) for w in itertools.product("01", repeat=n)]
+    assert run_many(machine, words) == single_runs(machine, words)
+    assert run_many(machine, words, max_steps=1) == single_runs(machine, words, 1)
+    assert run_many(machine, []) == []
+
+
+@pytest.mark.parametrize("name, decider", [("idmat", True), ("bin", False), ("someone", True)])
+def test_run_many_checks_every_word_before_stepping(name, decider, monkeypatch):
+    machine = zoo_automaton(name, decider=decider)
+    steps = []
+    for stepper in (_blockca._BlockPlanes, core._Runner):
+        step = stepper.step
+        monkeypatch.setattr(stepper, "step", lambda self, config, step=step:
+                            steps.append(config) or step(self, config))
+    with pytest.raises(EmptyInputError):
+        run_many(machine, ["1", "01", ""])
+    with pytest.raises(AlphabetError):
+        run_many(machine, ["1", "1x", "01"])
+    with pytest.raises(ParameterError):
+        run_many(machine, ["1"], max_steps=-1)
+    assert steps == []
+
+
+def test_run_many_stops_on_a_repeat_of_the_whole_run(monkeypatch):
+    """These bin words never get a doomed cell and each settles into a fixed
+    point, so the run stops when its whole configuration repeats, long
+    before the words' budgets, and every word is a timeout."""
+    machine = FAMILIES["bin"].acceptor()
+    words = ["0", "00", "0#0", "0000", "00#01", "0#0#1"]
+    steps = []
+    step = _blockca._BlockPlanes.step
+    monkeypatch.setattr(_blockca._BlockPlanes, "step", lambda self, config:
+                        steps.append(config) or step(self, config))
+    assert run_many(machine, words) == [(TIMEOUT, None)] * len(words)
+    assert 0 < len(steps) < min(default_max_steps(len(w)) for w in words)
+    assert single_runs(machine, words) == [(TIMEOUT, None)] * len(words)
+
+
+@pytest.mark.parametrize("family, role", BLOCK_MACHINES)
+def test_kernel_leftmost_open_matches_the_faces(family, role):
+    machine = getattr(FAMILIES[family], role)()
+    by_rule = dataclasses.replace(machine, kernel=None)
+    for word in (w for n in range(1, 6) for w in itertools.product("01#", repeat=n)):
+        budget = default_max_steps(len(word))
+        assert leftmost_open(machine, word, budget) == leftmost_open(by_rule, word, budget), word
