@@ -48,26 +48,21 @@ The rule builds its states positionally, for speed, so ``BCell``'s field
 order is part of the trace contract: a trace's configurations are these tuples.
 
 Runs do not call the rule: each machine's ``kernel`` is ``_BlockPlanes``,
-which steps every cell at once on bit-planes.  It lays out one or more words
-side by side, each followed by a spacer cell; bit i of a plane is cell i
-of that layout, so a cell reads its left neighbour's plane as ``x << 1`` and
-its right neighbour's as ``x >> 1``.  A spacer holds no bit in any plane, so
-it reads as the border to both words beside it: a left read is cut at a
-spacer by the masked plane it meets, and the conveyor's right shift is
-masked to the words' cells.  The first and last cells of the words are the
-planes ``firsts`` and ``lasts``; ``sym``, ``lnb`` and ``rnb`` never change
-and are built once per run.  Each other field has one plane per value (ls
-``0``/``1``/``#``, hold ``0``/``1``/``#``/``q``, rf ``0``/``1``/``H``/``X``,
-marker ``C``/``S``) or per flag (emit; the verifier's presence, mode ``C``,
+which steps every cell at once on bit-planes, in the spacer layout of
+:mod:`acaw._planes`: one or more words side by side, each followed by a
+spacer cell that reads as the border to both words beside it.  A left read
+is cut at a spacer by the masked plane it meets, and the conveyor's right
+shift is masked to the words' cells.  ``sym``, ``lnb`` and ``rnb`` never
+change and are built once per run.  Each other field has one plane per
+value (ls ``0``/``1``/``#``, hold ``0``/``1``/``#``/``q``, rf
+``0``/``1``/``H``/``X``, marker ``C``/``S``) or per flag (emit; the verifier's presence, mode ``C``,
 par 1, fsm ``p`` and ones; ok; dead), and the remaining value (ls ``q``,
 hold and rf ``.``, no verifier, marker ``-``) is a cell with none of its
 field's bits set.  ``age`` and ``phase`` are the same in every cell, so
 they are two ints.  A step is about 150 big-int operations whatever the
-words' lengths.  Each word's verdicts are read at its spacer bit, by one
-add that carries into the spacer exactly when the test holds on all the
-word's cells: ``ok + firsts`` (all ok), ``(mc & s1) + cells`` (some clean
-marker on a 1, so no census rejection) and ``(dead & ~ok) + cells`` (some
-doomed cell).  ``states`` decodes a one-word configuration to the same
+words' lengths.  Each word's verdicts are read at its spacer bit: every
+cell ok (accept), some clean marker on a 1 (no census rejection) and some
+doomed cell.  ``states`` decodes a one-word configuration to the same
 ``BCell`` tuples the rule builds, so traces are unchanged; ``_BlockRule``
 stays the reference the kernel is tested against, and the rule memo steps
 these machines for ``core.global_step`` and the other object-level helpers.
@@ -75,12 +70,12 @@ these machines for ``core.global_step`` and the other object-level helpers.
 
 from __future__ import annotations
 
-import array
 import functools
 import itertools
 from typing import NamedTuple, Optional
 
-from .core import ACCEPT, REJECT, Automaton, _Inactive
+from ._planes import SpacedWords, lowest, spaced_text
+from .core import Automaton, _Inactive
 
 _new = tuple.__new__  # a BCell from its fields, skipping the Python-level BCell.__new__
 
@@ -296,12 +291,7 @@ _V.update(
 )
 
 
-def _lowest(bits: int) -> Optional[int]:
-    """The position of the lowest set bit, or None for no bits."""
-    return (bits & -bits).bit_length() - 1 if bits else None
-
-
-class _BlockPlanes:
+class _BlockPlanes(SpacedWords):
     """A run of a block machine on bit-planes, stepping as ``_BlockRule`` does,
     over one or more words side by side, each followed by a spacer cell.
 
@@ -314,24 +304,15 @@ class _BlockPlanes:
 
     def __init__(self, shift: bool, decider: bool, words: list):
         self.shift, self.decider = shift, decider
-        self.words = words
-        text = ".".join(map("".join, words))[::-1]  # int(s, 2) reads bit 0 last
-        self.cells = cells = int(text.translate(_CELL), 2)
-        self.spacers = ((2 << len(text)) - 1) ^ cells  # the last word's spacer too
+        text = spaced_text(words, ".")
+        super().__init__(words, int(text.translate(_CELL), 2))
+        cells = self.cells
         self.s0, self.s1 = s0, s1 = int(text.translate(_IS0), 2), int(text.translate(_IS1), 2)
         self.b = s0 | s1
         self.sh = cells ^ self.b
         self.lh = (self.sh << 1) & cells
         self.lb = (self.b << 1) & cells
-        self.firsts = cells & ~(cells << 1)
-        self.lasts = cells & ~(cells >> 1)
         self.start = ()
-
-    @functools.cached_property
-    def ends(self) -> array.array:
-        # an array, not a list of ints: a batch may hold thousands of words
-        return array.array("q", itertools.accumulate(
-            map(len, self.words), lambda p, n: p + n + 1, initial=-1))[1:]
 
     def step(self, config: tuple) -> tuple:
         if not config:
@@ -439,24 +420,22 @@ class _BlockPlanes:
                 dead, mc, 0, 0, 1 if self.decider else 0)
 
     def finality(self, config: tuple, want_reject: bool) -> tuple[int, int]:
-        """The verdict bits of the words that accept and of those that reject.
-
-        Adding ``firsts`` carries into a word's spacer exactly when all its
-        cells are ok; adding ``cells`` carries there exactly when some cell
-        holds a clean marker on a 1, which is what spares it a census."""
+        """The verdict bits of the words that accept (every cell ok) and of
+        those that reject (no cell holds the clean marker on a 1 that spares
+        a word a census)."""
         if not config:
             return 0, 0
         if config[-1] != 1 or not self.decider:
-            return (config[_OK] + self.firsts) & self.spacers, 0
+            return self.every(config[_OK]), 0
         if want_reject:
-            return 0, ~((config[_MC] & self.s1) + self.cells) & self.spacers
+            return 0, self.spacers ^ self.some(config[_MC] & self.s1)
         return 0, 0
 
     def doomed(self, config: tuple) -> int:
         """The verdict bits of the words with a doomed cell."""
         if not config:
             return 0
-        return ((config[_DEAD] & ~config[_OK]) + self.cells) & self.spacers
+        return self.some(config[_DEAD] & ~config[_OK])
 
     def leftmost_open(self, config: tuple) -> tuple[Optional[int], Optional[int]]:
         """A one-word run's leftmost cell that does not accept and leftmost
@@ -464,8 +443,8 @@ class _BlockPlanes:
         if not config:
             return 0, 0
         if config[-1] == 1 and self.decider:
-            return 0, _lowest(config[_MC] & self.s1)
-        return _lowest(self.cells & ~config[_OK]), 0
+            return 0, lowest(config[_MC] & self.s1)
+        return lowest(self.cells & ~config[_OK]), 0
 
     def states(self, config: tuple) -> tuple:
         """A one-word run's cells, as the rule builds them."""

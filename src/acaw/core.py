@@ -11,13 +11,11 @@ accepting or uniformly rejecting configuration fixes the verdict.
 
 from __future__ import annotations
 
-import array
-import bisect
 import functools
 import itertools
 import operator
 import weakref
-from collections import defaultdict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -97,17 +95,20 @@ class Automaton:
 
     ``kernel``, optional, runs the machine without calling its rule or faces:
     ``kernel(words)`` takes a list of checked inputs (strings or tuples of
-    symbols) and returns one run of them side by side, each word evolving as
-    it would alone.  The run has ``start``, its step-0 configuration,
-    ``step(config)``, and ``ends``, the words' bit positions in ascending
-    order.
+    one-character symbols) and returns one run of them side by side, each
+    word evolving as it would alone.  The run has ``start``, its step-0
+    configuration, ``step(config)``, ``ends``, the words' bit positions in
+    ascending order, and ``spacers``, those bits as one int.
     ``finality(config, want_reject)`` gives two ints, the bits of the words
     that accept and of those that reject (as :func:`classify` judges each
-    word's cells), and ``doomed(config)`` the bits of the words with a doomed
-    cell.  A one-word run also gives ``states(config)``, the cells' states as
-    the rule would build them, and ``leftmost_open(config)``, its leftmost
-    cell that does not accept and leftmost that does not reject (None where
-    every cell does).  Configurations are any hashable values, equal exactly
+    word's cells), and, on a machine with a doomed face, ``doomed(config)``
+    the bits of the words with a doomed cell.  The block machines' kernel
+    is ``_blockca._BlockPlanes`` and the zoo's rule tables' comes from
+    :func:`acaw.rulefile.table_kernel`; both lay their words out as
+    :mod:`acaw._planes` does.  A one-word run also gives ``states(config)``,
+    the cells' states as the rule would build them, and
+    ``leftmost_open(config)``, its leftmost cell that does not accept and
+    leftmost that does not reject (None where every cell does).  Configurations are any hashable values, equal exactly
     when their cells' states are.  A single run is the one-word case;
     :func:`run_many` steps many words as one run.  The run helpers and
     :func:`configurations` step on the kernel; :func:`global_step`,
@@ -132,6 +133,12 @@ class Automaton:
     @property
     def is_decider(self) -> bool:
         return self.rejecting is not None
+
+    @functools.cached_property
+    def alphabet_set(self) -> frozenset:
+        """The input symbols as a set, built once per machine for the runs'
+        alphabet checks."""
+        return frozenset(self.input_alphabet)
 
 
 def set_automaton(
@@ -189,8 +196,15 @@ def render_configuration(config: Iterable[Any]) -> str:
 
 
 def initial_configuration(automaton: Automaton, word: Iterable[str]) -> tuple:
-    symbols = tuple(word)
-    alphabet = set(automaton.input_alphabet)
+    return tuple(_symbols(automaton, word))
+
+
+def _symbols(automaton: Automaton, word: Iterable[str]) -> Any:
+    """The word's symbols, checked against the alphabet: a string stays a
+    string, whose characters are its symbols, and any other word becomes a
+    tuple."""
+    symbols = word if isinstance(word, str) else tuple(word)
+    alphabet = automaton.alphabet_set
     if not alphabet.issuperset(symbols):
         bad = next(s for s in symbols if s not in alphabet)
         raise AlphabetError(f"{automaton.name}: input symbol {bad!r} is not in the alphabet")
@@ -464,9 +478,9 @@ def _runner_for(automaton: Automaton) -> _Runner:
 
 def _checked(
     automaton: Automaton, word: Iterable[str], max_steps: Optional[int]
-) -> tuple[tuple, int]:
+) -> tuple[Any, int]:
     """The word's symbols, checked, and the step budget of a run on it."""
-    symbols = initial_configuration(automaton, word)
+    symbols = _symbols(automaton, word)
     if not symbols:
         raise EmptyInputError(f"{automaton.name}: no run on the empty word")
     if max_steps is None:
@@ -542,24 +556,6 @@ def _run(
     return Verdict(outcome, at, trace)
 
 
-def _mask(positions: Iterable[int], width: int) -> int:
-    """An int with the given bits set, built as one digit string."""
-    digits = bytearray(b"0" * width)
-    for p in positions:
-        digits[width - 1 - p] = 49  # ord("1")
-    return int(digits, 2)
-
-
-def _positions(bits: int) -> list[int]:
-    """The positions of the set bits, read from one ``format``: O(width)."""
-    text = format(bits, "b")[::-1]
-    found, p = [], text.find("1")
-    while p >= 0:
-        found.append(p)
-        p = text.find("1", p + 1)
-    return found
-
-
 def run_many(
     automaton: Automaton, words: Iterable[Iterable[str]], max_steps: Optional[int] = None
 ) -> list[tuple[str, Optional[int]]]:
@@ -580,7 +576,7 @@ def run_many(
     # saves a tuple per word.
     inputs = [word if isinstance(word, str) else tuple(word) for word in words]
     symbols = itertools.chain.from_iterable(inputs)
-    if not all(inputs) or not set(automaton.input_alphabet).issuperset(symbols):
+    if not all(inputs) or not automaton.alphabet_set.issuperset(symbols):
         for word in inputs:
             _checked(automaton, word, max_steps)  # raises at the first bad word
     # A budget depends only on the word's length: check one word per length.
@@ -590,14 +586,22 @@ def run_many(
     if automaton.kernel is None or not inputs:
         verdicts = (_run(automaton, s, b, False, want_reject) for s, b in zip(inputs, budgets))
         return [(v.kind, v.steps) for v in verdicts]
-    run = automaton.kernel(inputs)
+    # The run lays the words out by budget, so each budget's words are one
+    # span of bits, cleared at once when the budget runs out.
+    order = sorted(range(len(inputs)), key=budgets.__getitem__)
+    run = automaton.kernel(list(map(inputs.__getitem__, order)))
     ends = run.ends
-    width = ends[-1] + 1
-    by_budget: dict[int, array.array] = defaultdict(functools.partial(array.array, "q"))
-    for p, budget in zip(ends, budgets):
-        by_budget[budget].append(p)
-    expiring = {budget: _mask(ps, width) for budget, ps in by_budget.items()}
-    open_ = _mask(ends, width)
+    expiring, low, count = {}, 0, 0
+    for budget, words_of in sorted(Counter(budgets).items()):
+        count += words_of
+        high = ends[count - 1] + 1
+        expiring[budget] = (1 << high) - (1 << low)
+        low = high
+    # An event's word indices: its bits as one digit string (bit 0 last),
+    # cut at the spacers, in the run's word order.
+    digits = f"0{low}b"
+    at_spacers = operator.itemgetter(*map((low - 1).__sub__, ends))
+    open_ = run.spacers
     doom = not want_reject and automaton.doomed is not None
     results: list = [(TIMEOUT, None)] * len(inputs)
     for steps, config in enumerate(_evolve(run, run.start, max(budgets))):
@@ -606,8 +610,9 @@ def run_many(
             if bits:
                 open_ ^= bits
                 outcome = kind, steps
-                for p in _positions(bits):
-                    results[bisect.bisect_left(ends, p)] = outcome
+                flags = at_spacers(format(bits, digits))
+                for j in itertools.compress(order, map("1".__eq__, flags)):
+                    results[j] = outcome
         if doom and not steps & (steps - 1):
             open_ &= ~run.doomed(config)
         open_ &= ~expiring.get(steps, 0)

@@ -28,14 +28,31 @@ runs without an explicit budget get at least that many steps.
 
 The reader here, :func:`read_text`, :func:`file_lines` and
 :func:`read_directives`, also reads DFA, scanner and LT-expression files.
+
+:func:`table_kernel` compiles a loaded table into a bit-plane kernel, one
+plane per state and one straight-line step function over the rows.  The
+zoo's tables carry it; :func:`parse_rule_table` leaves it off, because the
+tables ``acaw compile lt`` writes have hundreds of rows and run short words
+one at a time, where a memo hit costs less than a step over every row.
 """
 
 from __future__ import annotations
 
+import functools
+import operator
 import pathlib
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .core import INACTIVE, AcawError, Automaton, face_bits, set_automaton, validate
+from ._planes import SpacedWords, lowest, spaced_text
+from .core import (
+    INACTIVE,
+    AcawError,
+    Automaton,
+    ParameterError,
+    face_bits,
+    set_automaton,
+    validate,
+)
 
 _RESERVED = {"q", "*", "->"}
 
@@ -75,6 +92,142 @@ class _TableRule:
         if out is None and not self.default_center:
             raise RuleFileError(f"{self.name}: no rule covers {(z1, z2, z3)} and default is none")
         return z2 if out is None else out
+
+
+class _Rows(NamedTuple):
+    """A table machine compiled for bit-planes by :func:`table_kernel`, once
+    per machine.  Plane k holds ``states[k]``."""
+
+    states: tuple
+    spacer: str  # a character that is no input symbol
+    inputs: tuple  # per input symbol: (its plane, a translation marking it "1")
+    step: Callable  # step(config, cells, firsts, lasts) -> the next config
+    faces: Callable  # faces(config) -> (accepting plane, rejecting plane)
+
+
+class _TablePlanes(SpacedWords):
+    """A run of a table machine on bit-planes, stepping as its ``_TableRule``
+    does, over one or more words in the spacer layout of :mod:`acaw._planes`.
+
+    A configuration is one plane per state, in ``states`` order: bit i is
+    set in the plane of the state cell i holds.  Every cell is in exactly
+    one plane, so equal states give equal configurations, and a face's
+    planes add up to its plane.
+    """
+
+    def __init__(self, rows: _Rows, words: list):
+        text = spaced_text(words, rows.spacer)
+        planes = [0] * len(rows.states)
+        for k, marks in rows.inputs:
+            planes[k] = int(text.translate(marks), 2)
+        super().__init__(words, sum(planes))
+        self.rows = rows
+        self.start = tuple(planes)
+
+    def step(self, config: tuple) -> tuple:
+        return self.rows.step(config, self.cells, self.firsts, self.lasts)
+
+    def finality(self, config: tuple, want_reject: bool) -> tuple[int, int]:
+        """The verdict bits of the words that accept and of those that reject."""
+        accepting, rejecting = self.rows.faces(config)
+        return self.every(accepting), self.every(rejecting) if want_reject else 0
+
+    def leftmost_open(self, config: tuple) -> tuple[Optional[int], Optional[int]]:
+        """A one-word run's leftmost cell that does not accept and leftmost
+        that does not reject, each None when every cell does."""
+        return tuple(lowest(self.cells & ~face) for face in self.rows.faces(config))
+
+    def states(self, config: tuple) -> tuple:
+        """A one-word run's cells, as the rule builds them."""
+        digits = f"0{len(self.words[0])}b"
+        columns = zip(*[format(x, digits)[::-1] for x in config])
+        return tuple(map(self.rows.states.__getitem__,
+                         map(operator.methodcaller("index", "1"), columns)))
+
+
+@functools.lru_cache(maxsize=64)
+def _compile(
+    states: int, exact: tuple, wild: tuple, default_center: bool, accept: tuple, reject: tuple
+) -> tuple[Callable, Callable]:
+    """A table's ``step`` and ``faces`` on planes (see :class:`_Rows`), each
+    one straight-line function.  Compiling costs some twenty times parsing
+    a small table, and the zoo builds its tables afresh on every call, so
+    equal rows share one compiled pair.
+
+    Each row is (left, centre, right, output) as plane indices, with
+    ``states`` for the border and ``states + 1`` for any.  The rows keep
+    the rule's first-match order: the exact rows, which are disjoint, then
+    the wildcard rows in file order, each masked to the cells no earlier
+    row matched; ``default: center`` keeps each cell still unmatched in its
+    state.  A row is two or three ands on shifted planes (a left read is
+    masked to the cells by the centre it meets), so a step costs
+    O(rows + states) big-int operations whatever the words' lengths.  A
+    face's plane is the sum of its states' planes, which are disjoint.  The
+    source holds only plane numbers, never a state's name.
+    """
+    border, anything = states, states + 1
+
+    def hit(row: tuple, *masks: str) -> str:
+        x, y, z, _ = row
+        left = "firsts" if x == border else None if x == anything else f"l{x}"
+        right = "lasts" if z == border else None if z == anything else f"r{z}"
+        centre = None if y == anything else f"p{y}"  # only wildcard rows, masked to cells
+        return " & ".join(term for term in (left, centre, right, *masks) if term)
+
+    rows = exact + wild
+    unpack = "    " + "".join(f"p{k}, " for k in range(states)) + "= config"
+    lines = [
+        "def faces(config):",
+        unpack,
+        "    return " + ", ".join(" + ".join(f"p{k}" for k in face) or "0"
+                                  for face in (accept, reject)),
+        "def step(config, cells, firsts, lasts):",
+        unpack,
+        *(f"    l{x} = p{x} << 1" for x in sorted({r[0] for r in rows if r[0] < border})),
+        *(f"    r{z} = p{z} >> 1" for z in sorted({r[2] for r in rows if r[2] < border})),
+        "    unmatched = cells",
+        *(f"    n{k} = 0" for k in range(states)),
+    ]
+    for row in exact:
+        lines += [f"    hit = {hit(row)}", f"    n{row[3]} |= hit", "    unmatched ^= hit"]
+    for row in wild:
+        lines += [f"    hit = {hit(row, 'unmatched')}", f"    n{row[3]} |= hit",
+                  "    unmatched ^= hit"]
+    kept = " | p{0} & unmatched" if default_center else ""
+    lines.append("    return (" + "".join(f"n{k}{kept.format(k)}, " for k in range(states)) + ")")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["step"], namespace["faces"]
+
+
+def table_kernel(automaton: Automaton) -> Callable[[list], _TablePlanes]:
+    """A bit-plane :attr:`~acaw.core.Automaton.kernel` for a machine that
+    :func:`parse_rule_table` built and whose input symbols are characters.
+
+    The translations, the rows as plane indices and the faces are built
+    here, once per machine, and the step and faces compiled from them by
+    :func:`_compile`.  A step costs O(rows + states) big-int operations,
+    which pays on long words and batches, but not on a table of hundreds of
+    rows run on short words one at a time.
+    """
+    rule, states, symbols = automaton.rule, automaton.states, automaton.input_alphabet
+    if not isinstance(rule, _TableRule):
+        raise ParameterError(f"{automaton.name}: not a rule-table machine")
+    if any(len(symbol) != 1 for symbol in symbols):
+        raise ParameterError(f"{automaton.name}: input symbols must be single characters")
+    index = {state: k for k, state in enumerate(states)}
+    index[INACTIVE], index["*"] = len(states), len(states) + 1
+    spacer = chr(max(map(ord, symbols)) + 1)
+    inputs = tuple(
+        (index[symbol], str.maketrans({c: "01"[c == symbol] for c in (*symbols, spacer)}))
+        for symbol in symbols
+    )
+    exact, wild = (tuple(tuple(map(index.__getitem__, (*pattern, out))) for pattern, out in rows)
+                   for rows in (rule.exact.items(), rule.wild))
+    faces = automaton.accepting, automaton.rejecting or (lambda state: False)
+    accept, reject = (tuple(k for k, state in enumerate(states) if face(state)) for face in faces)
+    compiled = _compile(len(states), exact, wild, rule.default_center, accept, reject)
+    return functools.partial(_TablePlanes, _Rows(states, spacer, inputs, *compiled))
 
 
 def read_text(path, where: Optional[str] = None) -> str:

@@ -1,22 +1,26 @@
 """Ready-made automata and the word families the benchmarks exercise.
 
 The simple machines are defined by rule tables in the text format of
-:mod:`acaw.rulefile`, so ``acaw zoo build`` can write them back out verbatim.
+:mod:`acaw.rulefile`, so ``acaw zoo build`` can write them back out verbatim,
+and step on the bit-plane kernel that :func:`acaw.rulefile.table_kernel`
+compiles from their rows; the rows on the rule memo stay the reference.
 The block-structured ones (``bin``, ``idmat``) come from
 :mod:`acaw._blockca`; their cells have finitely many states, but those are
 built on the fly and never listed (``states`` is None), so they have no
-flat table form.
+flat table form.  Every machine here has a kernel, so ``acaw verify`` steps
+all its words as one run.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 from ._blockca import INCREMENT, SHIFT, block_automaton
 from .core import Automaton, ParameterError
-from .rulefile import parse_rule_table
+from .rulefile import parse_rule_table, table_kernel
 
 # Accepts (01) repeated one or more times.  The four listed neighborhoods
 # are the only ones that create the accept state; everything else keeps
@@ -56,16 +60,21 @@ default: none
 """
 
 
+def _table_machine(text: str, name: str) -> Automaton:
+    machine = parse_rule_table(text, name=name)
+    return dataclasses.replace(machine, kernel=table_kernel(machine))
+
+
 def build_pair01_aca() -> Automaton:
-    return parse_rule_table(_PAIR01_TABLE, name="pair01")
+    return _table_machine(_PAIR01_TABLE, "pair01")
 
 
 def build_zeros_aca() -> Automaton:
-    return parse_rule_table(_ZEROS_TABLE, name="zeros")
+    return _table_machine(_ZEROS_TABLE, "zeros")
 
 
 def build_someone_daca() -> Automaton:
-    return parse_rule_table(_SOMEONE_TABLE, name="someone")
+    return _table_machine(_SOMEONE_TABLE, "someone")
 
 
 def build_bin_aca() -> Automaton:

@@ -34,7 +34,7 @@ from acaw import (
     set_automaton,
     validate,
 )
-from acaw import _blockca, core, zoo_automaton
+from acaw import _blockca, core, rulefile, zoo_automaton
 from acaw.core import _CYCLE_WINDOW, _evolve
 
 
@@ -545,8 +545,7 @@ def test_run_many_keeps_each_words_own_budget(family, role, monkeypatch):
 
 @pytest.mark.parametrize("name, decider", [("someone", True), ("pair01", False)])
 def test_run_many_runs_word_by_word_without_a_kernel(name, decider):
-    machine = zoo_automaton(name, decider=decider)
-    assert machine.kernel is None
+    machine = dataclasses.replace(zoo_automaton(name, decider=decider), kernel=None)
     words = [w for n in range(1, 9) for w in itertools.product("01", repeat=n)]
     assert run_many(machine, words) == single_runs(machine, words)
     assert run_many(machine, words, max_steps=1) == single_runs(machine, words, 1)
@@ -557,7 +556,7 @@ def test_run_many_runs_word_by_word_without_a_kernel(name, decider):
 def test_run_many_checks_every_word_before_stepping(name, decider, monkeypatch):
     machine = zoo_automaton(name, decider=decider)
     steps = []
-    for stepper in (_blockca._BlockPlanes, core._Runner):
+    for stepper in (_blockca._BlockPlanes, rulefile._TablePlanes, core._Runner):
         step = stepper.step
         monkeypatch.setattr(stepper, "step", lambda self, config, step=step:
                             steps.append(config) or step(self, config))
@@ -592,3 +591,36 @@ def test_kernel_leftmost_open_matches_the_faces(family, role):
     for word in (w for n in range(1, 6) for w in itertools.product("01#", repeat=n)):
         budget = default_max_steps(len(word))
         assert leftmost_open(machine, word, budget) == leftmost_open(by_rule, word, budget), word
+
+
+ZOO_TABLES = [("pair01", False), ("zeros", False), ("someone", True)]
+
+
+def binary_words(max_len):
+    return ["".join(w) for n in range(1, max_len + 1) for w in itertools.product("01", repeat=n)]
+
+
+@pytest.mark.parametrize("name, decider", ZOO_TABLES)
+def test_table_kernel_matches_the_memo_on_every_short_word(name, decider):
+    """Single runs and one batch of all 8,190 binary words of length <= 12
+    (also shuffled, so budgets come unsorted) give the memo's verdicts and
+    steps, with the default budget and with budgets 0-3."""
+    machine = zoo_automaton(name, decider=decider)
+    memo = dataclasses.replace(machine, kernel=None)
+    words = binary_words(12)
+    for max_steps in (None, 0, 1, 2, 3):
+        want = single_runs(memo, words, max_steps)
+        assert single_runs(machine, words, max_steps) == want, max_steps
+        assert run_many(machine, words, max_steps) == want, max_steps
+    shuffled = random.Random(17).sample(words, len(words))
+    assert run_many(machine, shuffled) == single_runs(memo, shuffled)
+
+
+@pytest.mark.parametrize("name, decider", ZOO_TABLES)
+def test_table_kernel_configurations_and_leftmost_open_match_the_memo(name, decider):
+    machine = zoo_automaton(name, decider=decider)
+    memo = dataclasses.replace(machine, kernel=None)
+    for word in binary_words(8):
+        budget = default_max_steps(len(word))
+        assert list(configurations(machine, word)) == list(configurations(memo, word)), word
+        assert leftmost_open(machine, word, budget) == leftmost_open(memo, word, budget), word

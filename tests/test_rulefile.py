@@ -1,5 +1,6 @@
 """Rule-table file format: parsing, matching order, serialization."""
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -15,15 +16,21 @@ from acaw import (
     AlphabetError,
     Automaton,
     RuleFileError,
+    Scanner,
     TABLE_SOURCES,
+    ParameterError,
+    compile_lt_to_daca,
+    configurations,
     global_step,
     load_rule_table,
+    lt_scanner,
     parse_dfa,
     parse_lt_expression,
     parse_rule_table,
     parse_scanner,
     run_acceptor,
     run_decider,
+    run_many,
     save_rule_table,
     serialize_rules,
     validate,
@@ -409,3 +416,71 @@ def test_load_rule_table(tmp_path):
     path.write_text(MINIMAL)
     a = load_rule_table(path)
     assert a.name == "m"
+
+
+def random_table(rng: random.Random, features: set) -> str:
+    """A small table text: exact rows, wildcard rows, rows that repeat an
+    earlier row's pattern (so an earlier row shadows them), ``q`` flanks,
+    and either default."""
+    symbols = ["0", "1", "2"][: rng.randint(2, 3)]
+    states = symbols + ["a", "b", "c"][: rng.randint(1, 3)]
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        if rows and rng.random() < 0.3:
+            pattern = rng.choice(rows)[:3]
+            features.add("repeated " + ("wildcard" if "*" in pattern else "exact"))
+        else:
+            pattern = (rng.choice(states + ["q", "*"]), rng.choice(states + ["*"]),
+                       rng.choice(states + ["q", "*"]))
+        features.update(f"{flank} flank" for flank in (pattern[0], pattern[2]) if flank == "q")
+        rows.append((*pattern, rng.choice(states)))
+    accept = rng.sample(states, rng.randint(1, len(states) - 1))
+    rest = [s for s in states if s not in accept]
+    reject = rng.sample(rest, rng.randint(1, len(rest))) if rng.random() < 0.5 else None
+    default = rng.choice(["center", "none"])
+    features.add(f"default {default}")
+    text = f"alphabet: {' '.join(symbols)}\nstates: {' '.join(states)}\n"
+    text += f"accept: {' '.join(accept)}\n" + (f"reject: {' '.join(reject)}\n" if reject else "")
+    text += "".join(f"rule: {x} {y} {z} -> {w}\n" for x, y, z, w in rows)
+    try:
+        parse_rule_table(text + f"default: {default}\n")
+    except RuleFileError:  # a gap under default: none; close it with a last row
+        text += f"rule: * * * -> {rng.choice(states)}\n"
+    return text + f"default: {default}\n"
+
+
+def test_table_kernel_keeps_first_match_order_on_random_tables():
+    """The compiled rows step as the rule does: every configuration of every
+    word of length <= 7, and every verdict of one batch of them."""
+    rng = random.Random(1717)
+    features: set = set()
+    for index in range(24):
+        memo = parse_rule_table(random_table(rng, features), name=f"random{index}")
+        machine = dataclasses.replace(memo, kernel=rulefile.table_kernel(memo))
+        run = run_decider if memo.is_decider else run_acceptor
+        words = ["".join(w) for n in range(1, 8)
+                 for w in itertools.product(memo.input_alphabet, repeat=n)]
+        for word in words:
+            assert list(configurations(machine, word)) == list(configurations(memo, word)), word
+        verdicts = [run(memo, word) for word in words]
+        assert run_many(machine, words) == [(v.kind, v.steps) for v in verdicts]
+    assert features == {"repeated exact", "repeated wildcard", "q flank",
+                        "default center", "default none"}
+
+
+def test_only_the_zoo_tables_step_on_planes(tmp_path):
+    for name, source in TABLE_SOURCES.items():
+        assert zoo_automaton(name, decider=name == "someone").kernel is not None
+        (tmp_path / f"{name}.tbl").write_text(source)
+        assert load_rule_table(tmp_path / f"{name}.tbl").kernel is None
+    zeros = Scanner(k=1, alphabet=("0", "1"), pi=frozenset({"0"}), sigma=frozenset({"0"}),
+                    mu=frozenset({"0"}))
+    assert compile_lt_to_daca(lt_scanner(zeros)).kernel is None
+
+
+def test_table_kernel_refuses_what_it_cannot_lay_out():
+    with pytest.raises(ParameterError, match="^zoo-rule: not a rule-table machine$"):
+        rulefile.table_kernel(Automaton("zoo-rule", ("0",), lambda x, y, z: y, "0".__eq__))
+    wide = "alphabet: 00 1\nstates: 00 1\naccept: 1\ndefault: center\n"
+    with pytest.raises(ParameterError, match="^wide: input symbols must be single characters$"):
+        rulefile.table_kernel(parse_rule_table(wide, name="wide"))
