@@ -32,7 +32,10 @@ The moving parts, all living in per-cell registers:
 
 A cell that is ``dead`` and not ``ok`` never accepts again, as ``dead`` is
 never cleared and ``ok`` changes only under ``not dead``: the acceptors'
-``doomed`` face, at which untraced runs stop.
+``doomed`` face, at which untraced runs stop.  A counter word's last cell
+also turns dead when its visit passes without accepting (a single block, or
+a last block that is not all ones or not an increment), since no visit
+comes back to it.
 
 The decider variant adds a census that makes rejection timely without a
 single extra signal: each block's first cell gets a marker at step 1; every
@@ -152,7 +155,7 @@ def _enter(ok, mode, fsm, ones, sym, rf, lnb, rnb, shift):
             return (True, False, None) if sym == "1" else (ok, True, None)
         if mode == "C":
             return ok, False, (mode, 0, fsm, ones)  # completes at its par-1 step
-        return ok, False, None  # counter first-scan on a single block: nothing to accept
+        return ok, True, None  # counter first-scan on a single block: nothing to accept
     return ok or mode == "F" or shift, False, (mode, 0, fsm, ones)
 
 
@@ -224,8 +227,13 @@ class _BlockRule:
                         ones = ones and sym == "1"
                         if not dead:
                             if rnb == "q":
+                                # The word's last cell: its block must be all
+                                # ones, one more than the block before, and no
+                                # later visit comes back here.
                                 if fsm == "p" and ones:
                                     ok = True
+                                else:
+                                    dead = True
                             else:
                                 ok = True
                                 v = (mode, 1, fsm, ones)
@@ -366,7 +374,9 @@ class _BlockPlanes(SpacedWords):
             dead |= counter ^ passed
             fsm, ones = (vfp | carry) & passed, vones & s1 & passed
             going = passed & ~lasts
-            ok |= going | (passed & lasts & fsm & ones)
+            done = passed & lasts
+            ok |= going | (done & fsm & ones)
+            dead |= done & ~(fsm & ones)
             nvp |= going
             nvc |= going
             nv1 |= going
@@ -397,6 +407,7 @@ class _BlockPlanes(SpacedWords):
                 dead |= last & s0
             else:
                 ok |= going & mode_f
+                dead |= last & mode_f  # a single block: nothing to accept
                 going |= last & mode_c
             nvp |= going
             nvc |= going & mode_c

@@ -49,7 +49,7 @@ class SpacedWords:
     def ends(self) -> array.array:
         # an array, not a list of ints: a batch may hold thousands of words
         return array.array("q", itertools.accumulate(
-            map(len, self.words), lambda p, n: p + n + 1, initial=-1))[1:]
+            map((1).__add__, map(len, self.words)), initial=-1))[1:]
 
     def every(self, plane: int) -> int:
         """The spacer bits of the words whose every cell is in ``plane``, a

@@ -114,11 +114,22 @@ def debruijn_contract(word: str, kappa: int) -> ContractionReport:
     """Shorten a word, preserving its (kappa-1)-prefix/suffix and kappa-infix set.
 
     Views the word as a walk over its kappa-infixes, numbers the distinct
-    infixes by first visit, and splices together shortest paths visiting
-    them all in that order, ending at the walk's final node.  Shortest paths
-    are found breadth-first with successors explored in lexicographic order,
-    so the result is deterministic.  The output is never longer than the
-    input, and its length is at most (kappa-1) + m*m for m distinct infixes.
+    infixes by first visit, and splices together shortest paths (over the
+    word's own infixes) visiting them all in that order, ending at the
+    walk's final node.  Most of the splice needs no search:
+
+    * first visits at consecutive positions p, p+1 are joined by the walk's
+      own edge, the only shortest path, so a run of them is a slice of the
+      word;
+    * between two nodes, a walk of d <= kappa steps is unique: it spells
+      ``src + dst[kappa-d:]`` and exists iff ``src[d:] == dst[:kappa-d]``,
+      so the shortest path is the least such d whose windows all occur;
+    * only a jump whose shortest path is longer than kappa is searched,
+      breadth-first with successors in lexicographic order.
+
+    The result is deterministic and the same as a breadth-first search for
+    every jump.  It is never longer than the input, and its length is at
+    most (kappa-1) + m*m for m distinct infixes.
     """
     if kappa < 1:
         raise ParameterError("window length must be at least 1")
@@ -126,19 +137,22 @@ def debruijn_contract(word: str, kappa: int) -> ContractionReport:
         m = len(infix_set(word, kappa))
         return ContractionReport(word, word, kappa, m, (kappa - 1) + m * m)
 
-    walk = [word[i : i + kappa] for i in range(len(word) - kappa + 1)]
-    order: list[str] = []
-    seen: set[str] = set()
-    for node in walk:
-        if node not in seen:
-            seen.add(node)
-            order.append(node)
-    m = len(order)
-    letters = sorted(set(word))
+    n = len(word) - kappa + 1
+    walk = [word[i : i + kappa] for i in range(n)]
+    first = dict(zip(reversed(walk), range(n - 1, -1, -1)))  # node -> first visit
+    starts = sorted(first.values())
+    m = len(starts)
 
-    def shortest_path(src: str, dst: str) -> list[str]:
-        if src == dst:
-            return [src]
+    def bridge(src: str, dst: str, span: int) -> str:
+        """The letters that a shortest path from ``src`` to ``dst`` appends,
+        where the walk itself goes from one to the other in ``span`` steps."""
+        for d in range(1, min(span, kappa) + 1):
+            if dst.startswith(src[d:]):  # the only d-step walk: src + dst[kappa-d:]
+                path = src + dst[kappa - d :]
+                if all(path[j : j + kappa] in first for j in range(1, d)):
+                    return path[kappa:]
+        # Longer than kappa steps: search breadth-first, successors in order.
+        letters = sorted(set(word))
         parents = {src: None}
         queue = deque([src])
         while queue:
@@ -146,22 +160,28 @@ def debruijn_contract(word: str, kappa: int) -> ContractionReport:
             stem = u[1:]
             for a in letters:
                 v = stem + a
-                if v in seen and v not in parents:
+                if v in first and v not in parents:
                     parents[v] = u
                     if v == dst:
-                        path = [v]
-                        while parents[path[-1]] is not None:
-                            path.append(parents[path[-1]])
-                        path.reverse()
-                        return path
+                        tail = ""
+                        while v != src:
+                            tail, v = v[-1] + tail, parents[v]
+                        return tail
                     queue.append(v)
         raise AssertionError("targets are always reachable along the original walk")
 
-    new_walk = [order[0]]
-    for target in order[1:] + [walk[-1]]:
-        segment = shortest_path(new_walk[-1], target)
-        new_walk.extend(segment[1:])
-    contracted = new_walk[0] + "".join(node[-1] for node in new_walk[1:])
+    jumps = [(p, q) for p, q in zip(starts, starts[1:]) if q != p + 1]
+    last = starts[-1]
+    if walk[-1] != walk[last]:
+        jumps.append((last, n - 1))
+    pieces = []
+    cut = 0  # word[cut:p + kappa] spells the run of first visits up to p
+    for p, q in jumps:
+        pieces.append(word[cut : p + kappa])
+        pieces.append(bridge(walk[p], walk[q], q - p))
+        cut = q + kappa
+    pieces.append(word[cut : last + kappa])
+    contracted = "".join(pieces)
 
     bound = (kappa - 1) + m * m
     if len(contracted) > bound or len(contracted) > len(word):

@@ -1,11 +1,16 @@
 """Profiles, transfer hypotheses, and the two contraction procedures."""
 
+import itertools
+import random
+from collections import deque
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acaw import (
     BudgetError,
+    ContractionReport,
     ModeError,
     ParameterError,
     debruijn_contract,
@@ -96,7 +101,7 @@ words_01 = st.text(alphabet="01", min_size=1, max_size=120)
 words_013 = st.text(alphabet="01#", min_size=1, max_size=120)
 
 
-@given(words_013, st.integers(min_value=1, max_value=4))
+@given(words_013, st.integers(min_value=1, max_value=16))
 @settings(max_examples=150)
 def test_debruijn_contract_preserves_profile(word, kappa):
     """The contraction keeps the exact (kappa-1)-ends and kappa-infix set."""
@@ -107,6 +112,83 @@ def test_debruijn_contract_preserves_profile(word, kappa):
     assert infix_set(c, kappa) == infix_set(word, kappa)
     assert len(c) <= len(word)
     assert len(c) <= report.bound == (kappa - 1) + report.node_count**2
+
+
+def spliced_searches(word, kappa):
+    """The contraction as one breadth-first search per target: the reference
+    for ``debruijn_contract``.  Also returns, per target, how many steps the
+    walk takes to it from the previous target's first visit, and how long
+    the spliced path is."""
+    if len(word) <= kappa:
+        return word, []
+    walk = [word[i : i + kappa] for i in range(len(word) - kappa + 1)]
+    order = list(dict.fromkeys(walk))
+    seen = set(order)
+    letters = sorted(set(word))
+
+    def shortest_path(src, dst):
+        if src == dst:
+            return [src]
+        parents = {src: None}
+        queue = deque([src])
+        while queue:
+            u = queue.popleft()
+            stem = u[1:]
+            for a in letters:
+                v = stem + a
+                if v in seen and v not in parents:
+                    parents[v] = u
+                    if v == dst:
+                        path = [v]
+                        while parents[path[-1]] is not None:
+                            path.append(parents[path[-1]])
+                        path.reverse()
+                        return path
+                    queue.append(v)
+        raise AssertionError("targets are always reachable along the original walk")
+
+    new_walk, cases = [order[0]], []
+    ends = [walk.index(node) for node in order] + [len(walk) - 1]
+    for target, start, end in zip(order[1:] + [walk[-1]], ends, ends[1:]):
+        segment = shortest_path(new_walk[-1], target)
+        cases.append((end - start, len(segment) - 1))
+        new_walk.extend(segment[1:])
+    return new_walk[0] + "".join(node[-1] for node in new_walk[1:]), cases
+
+
+def repetitive_words(seed, count):
+    """Seeded words with long repeats and a few flipped letters, and a kappa
+    of up to 80 each: long jumps between first visits."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        unit = "".join(rng.choices("01#", k=rng.randint(1, 12)))
+        word = list(unit * rng.randint(1, 30))
+        for _ in range(rng.randint(0, 3)):
+            word[rng.randrange(len(word))] = rng.choice("01#")
+        yield "".join(word), rng.randint(1, 80)
+
+
+def test_debruijn_contract_equals_one_search_per_target():
+    """The run, overlap and search splice gives the report that one
+    breadth-first search per target gives, and the corpus reaches each of
+    its cases: a run of first visits, a jump of at most kappa steps, a jump
+    searched for, and a final node that needs no path."""
+    corpus = [("".join(w), k) for n in range(12) for w in itertools.product("01", repeat=n)
+              for k in range(1, 5)]
+    corpus += [("".join(w), k) for n in range(8) for w in itertools.product("012", repeat=n)
+               for k in range(1, 4)]
+    corpus += repetitive_words(18, 1500)
+    seen = set()
+    for word, kappa in corpus:
+        contracted, cases = spliced_searches(word, kappa)
+        m = len(infix_set(word, kappa))
+        assert debruijn_contract(word, kappa) == ContractionReport(
+            word, contracted, kappa, m, (kappa - 1) + m * m), (word, kappa)
+        seen.update("run" if gap == 1 else "overlap" if length <= kappa else "search"
+                    for gap, length in cases[:-1])
+        if cases and cases[-1][1] == 0:
+            seen.add("final")
+    assert seen == {"run", "overlap", "search", "final"}
 
 
 def test_debruijn_contract_short_words_unchanged():

@@ -118,7 +118,7 @@ def test_block_machines_full_state_digest():
                 v = run(machine, word, collect_trace=True)
                 digest.update(repr((v.kind, v.steps, v.trace.configurations)).encode())
     assert digest.hexdigest() == (
-        "b9602f66def554eaa5642fc00b40312a5ccb722d8a2d00fd364227c435c5ed3c"
+        "602aaa1e4e3547f4c5716e2db2bb72102e2bd50e9d30e251667a8e86a1e3fd7a"
     )
 
 
@@ -166,7 +166,8 @@ def corrupt(word, pos, sym):
     ("idmat", corrupt(generate_idmat(6), 20, "0")),
     ("idmat", corrupt(generate_idmat(7), 54, "0")),
     ("bin", corrupt(generate_bin(5), 95, "0")),
-], ids=["separators", "idmat5", "idmat6", "idmat7", "bin5"])
+    ("bin", corrupt(generate_bin(5), 190, "0")),  # the last block is not all ones
+], ids=["separators", "idmat5", "idmat6", "idmat7", "bin5", "bin5-last"])
 def test_untraced_run_stops_within_twice_the_first_doomed_step(family, word, monkeypatch):
     machine = FAMILIES[family].acceptor()
     traced = run_acceptor(machine, word, collect_trace=True).trace.configurations
