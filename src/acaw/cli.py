@@ -187,7 +187,8 @@ def _cmd_compile(args) -> int:
         ))
         machine = compile_lt_to_daca(expr)
         gather, m = expr.window, len(set(expr.leaves()))
-        schedule = f", {m} distinct {'leaf' if m == 1 else 'leaves'}, {2**m} checkpoints"
+        checkpoints = machine.time_bound - gather - 1  # one step each after gathering
+        schedule = f", {m} distinct {'leaf' if m == 1 else 'leaves'}, {checkpoints} checkpoints"
     text = tabulate_by_observation(machine, probe_len=gather + 4, name=path.stem)
     pathlib.Path(args.out).write_text(text)
     n_states = len(text.splitlines()[2].split()) - 1  # the states: line

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-import weakref
 from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
@@ -139,6 +138,11 @@ class Automaton:
         """The input symbols as a set, built once per machine for the runs'
         alphabet checks."""
         return frozenset(self.input_alphabet)
+
+    @functools.cached_property
+    def _runner(self) -> "_Runner":
+        """The machine's rule memo and interner, built on first use."""
+        return _Runner(self)
 
 
 def set_automaton(
@@ -427,7 +431,8 @@ class _Runner:
     a new triple reaches ``_Memo.__missing__``, which calls the rule.  The
     memo and ``outputs`` are the only callers of a machine's rule, and the
     interner (``intern``) of its faces.  They keep those callables, not the
-    machine, so the machine (a weak key of ``_RUNNERS``) can be freed.
+    machine, so a machine and its cached runner form no cycle and are freed
+    together.
     """
 
     def __init__(self, automaton: Automaton):
@@ -465,15 +470,8 @@ class _Runner:
         return tuple(map(self.objs.__getitem__, config))
 
 
-_RUNNERS: "weakref.WeakKeyDictionary[Automaton, _Runner]" = weakref.WeakKeyDictionary()
-
-
 def _runner_for(automaton: Automaton) -> _Runner:
-    runner = _RUNNERS.get(automaton)
-    if runner is None:
-        runner = _Runner(automaton)
-        _RUNNERS[automaton] = runner
-    return runner
+    return automaton._runner
 
 
 def _checked(
@@ -512,19 +510,20 @@ def _evolve(stepper: Any, config: Any, max_steps: int) -> Iterator[Any]:
     a kernel's run.  Each configuration is its own cycle key.  Stops early,
     before a configuration that repeats one of the last ``_CYCLE_WINDOW``:
     the evolution is deterministic, so a repeat can never lead anywhere new.
+    Each configuration is hashed once, and compared only with those of the
+    window whose hash it shares.
     """
     yield config
-    recent: deque = deque((config,))
-    seen = {config}
+    recent: deque = deque((config,), maxlen=_CYCLE_WINDOW)
+    hashes: deque = deque((hash(config),), maxlen=_CYCLE_WINDOW)
     for _ in range(max_steps):
         config = stepper.step(config)
-        if config in seen:
+        key = hash(config)
+        if key in hashes and config in recent:
             return
         yield config
-        if len(recent) == _CYCLE_WINDOW:
-            seen.discard(recent.popleft())
         recent.append(config)
-        seen.add(config)
+        hashes.append(key)
 
 
 def _run(

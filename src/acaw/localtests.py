@@ -16,7 +16,10 @@ checkpoints and stays at the last.  A cell where every leaf in the mask
 holds shows the face of the bit (accept, or reject for deciders), the others
 stay neutral, and the all-cells condition turns the conjunction of the
 per-cell certificates into exactly the scanner or leaf-set predicate.  The
-schedule length depends only on the expression, hence constant time.
+schedule length depends only on the expression, hence constant time.  An
+expression's schedule is a decision list of leaf sets: the full list of all
+2^m sets of its m leaves, larger first, with every checkpoint dropped whose
+verdict a later one already gives.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
 _TABULATE_STEP_CEILING = 10_000
-_MAX_LEAVES = 12
+# The schedule search reads the expression on every verdict vector, 2^m of
+# them for m distinct leaves; more are refused before anything is built.
+_SEARCH_BUDGET = 1 << 12
 
 from .core import (
     AlphabetError,
@@ -301,26 +306,60 @@ def compile_slt_union_to_aca(scanners: list) -> Automaton:
     return _window_machine("slt-union", alphabet, scanners, checks, decider=False)
 
 
+def _decision_list(value: list, m: int) -> list:
+    """The schedule: (mask, bit) checkpoints over m leaves such that, on every
+    verdict vector V (the mask of the leaves that accept), the first
+    checkpoint whose mask lies in V has bit ``value[V]``.
+
+    The full list of all masks, larger first, is one such schedule: the first
+    match of V is V itself.  Walking it from the back, the checkpoint of each
+    mask T is dropped when the first kept checkpoint after it that lies in T
+    has T's bit.  Only T's own vector falls through, since every larger one
+    still meets its own checkpoint first.  ``first[T]`` is where T's first
+    match now is: T's own position when kept, else the least of its proper
+    subsets' ``first``, all decided before T.
+    """
+    order = [
+        sum(1 << i for i in subset)
+        for size in range(m, -1, -1)
+        for subset in itertools.combinations(range(m), size)
+    ]
+    first = [0] * len(order)
+    kept = []
+    for at in reversed(range(len(order))):
+        mask = order[at]
+        below = min((first[mask & ~(1 << i)] for i in range(m) if mask >> i & 1), default=None)
+        if below is not None and value[order[below]] == value[mask]:
+            first[mask] = below
+        else:
+            first[mask] = at
+            kept.append(mask)
+    return [(mask, value[mask]) for mask in reversed(kept)]
+
+
 def compile_lt_to_daca(expr: LTExpression) -> Automaton:
     """Decider for the expression language, constant decision time.
 
-    One checkpoint per set of leaves, 2^m in all for the m distinct leaves,
-    larger sets first.  Every cell certifies its own window, so checkpoint T
-    fires exactly when every leaf in T accepts the word, and the first to
-    fire is the set V of leaves that accept it.  Its bit is the expression
-    with exactly V's leaves true.  The empty set fires on every word, so the
-    machine is total.  More than ``_MAX_LEAVES`` leaves raise ParameterError.
+    Every cell certifies its own window, so checkpoint (T, bit) fires exactly
+    when every leaf in T accepts the word, that is when T lies in the set V
+    of leaves that accept it.  The schedule is a decision list over the m
+    distinct leaves (:func:`_decision_list`): its first checkpoint inside
+    each V has the bit of the expression with exactly V's leaves true.  The
+    time bound is the gather, one step per checkpoint, and one more.  The
+    search reads the expression on all 2^m vectors, realizable or not, so
+    more than ``_SEARCH_BUDGET`` of them raise ParameterError.
     """
     leaves = list(dict.fromkeys(expr.leaves()))
-    if len(leaves) > _MAX_LEAVES:
-        raise ParameterError(f"{len(leaves)} distinct scanner leaves would need"
-                             f" 2^{len(leaves)} checkpoints; at most {_MAX_LEAVES} are compiled")
-    bit = {leaf: 1 << i for i, leaf in enumerate(leaves)}
-    checks = [
-        (sum(map(bit.get, subset)), _evaluate(expr, lambda leaf, chosen: leaf in chosen, subset))
-        for size in range(len(leaves), -1, -1)
-        for subset in itertools.combinations(leaves, size)
+    vectors = 1 << len(leaves)
+    if vectors > _SEARCH_BUDGET:
+        raise ParameterError(f"{len(leaves)} distinct scanner leaves give {vectors} verdict"
+                             f" vectors to search; the budget is {_SEARCH_BUDGET}")
+    index = {leaf: 1 << i for i, leaf in enumerate(leaves)}
+    value = [
+        _evaluate(expr, lambda leaf, vector: vector & index[leaf] != 0, vector)
+        for vector in range(vectors)
     ]
+    checks = _decision_list(value, len(leaves))
     return _window_machine("lt-decider", sorted(expr.alphabet), leaves, checks, decider=True)
 
 

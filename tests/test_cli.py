@@ -275,8 +275,9 @@ def test_compile_slt_window3_table_matches_scanner(tmp_path, capsys):
 
 
 def test_compile_lt_window2_state_count(tmp_path, capsys):
-    # Two distinct leaves give 2^2 checkpoints after two gathering steps; the
-    # time bound is one step past the last of them: 2 + 4 + 1 = 7.
+    # The union of two distinct leaves keeps three checkpoints, one per leaf
+    # and the empty set, after two gathering steps; the time bound is one
+    # step past the last of them: 2 + 3 + 1 = 6.
     (tmp_path / "pair.scan").write_text(SCANNER_PAIR)
     (tmp_path / "all0.scan").write_text(SCANNER_ALL0)
     spec = tmp_path / "either.lt"
@@ -284,14 +285,14 @@ def test_compile_lt_window2_state_count(tmp_path, capsys):
     out = tmp_path / "either.tbl"
     assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == 0
     assert capsys.readouterr().out == (
-        f"wrote {out}: 58 states, settles within 7 steps, 2 distinct leaves, 4 checkpoints\n"
+        f"wrote {out}: 54 states, settles within 6 steps, 2 distinct leaves, 3 checkpoints\n"
     )
     table = load_rule_table(out)
-    assert len(table.states) == 58
+    assert len(table.states) == 54
     expr = load_lt_expression(spec)
     for word in words("01", 10):
         verdict = run_decider(table, word)
-        assert verdict.steps <= 7 and (verdict.kind == ACCEPT) == lt_eval(expr, word), word
+        assert verdict.steps <= 6 and (verdict.kind == ACCEPT) == lt_eval(expr, word), word
 
 
 # The criterion-4 scanners and expressions, as files.
@@ -382,15 +383,18 @@ def test_compiled_lt_tables_match_lt_eval(tmp_path, capsys, case):
 
 
 def test_loaded_table_runs_within_its_machines_time_bound(tmp_path, capsys):
-    # Five window-1 leaves give 2^5 checkpoints, so the machine settles within
-    # 1 + 32 + 1 = 34 steps, past the default budget 4n + 16 of a short word.
+    # The parity of five window-1 leaves keeps all 2^5 checkpoints, so the
+    # machine settles within 1 + 32 + 1 = 34 steps, past the default budget
+    # 4n + 16 of a short word.
     leaves = [("1", "0 1", "0 1"), ("0 1", "1", "0 1"), ("0 1", "0 1", "1"),
               ("1", "1", "0 1"), ("0 1", "0 1", "0 1")]
     for i, fields in enumerate(leaves):
         (tmp_path / f"s{i}.scan").write_text(scanner_file(1, "01", *fields))
     spec = tmp_path / "five.lt"
-    spec.write_text("".join(f"let s{i} = s{i}.scan\n" for i in range(5))
-                    + "(or " + " ".join(f"(not s{i})" for i in range(5)) + ")\n")
+    parity = "s0"
+    for i in range(1, 5):
+        parity = f"(or (and {parity} (not s{i})) (and (not {parity}) s{i}))"
+    spec.write_text("".join(f"let s{i} = s{i}.scan\n" for i in range(5)) + parity + "\n")
     out = tmp_path / "five.tbl"
     assert main(["compile", "lt", "--spec", str(spec), "--out", str(out)]) == 0
     assert "settles within 34 steps, 5 distinct leaves, 32 checkpoints\n" in capsys.readouterr().out
@@ -429,7 +433,8 @@ def test_compile_lt_refuses_13_distinct_leaves(tmp_path, capsys):
     spec.write_text(lets + "(or " + " ".join(f"s{i}" for i in range(13)) + ")\n")
     assert main(["compile", "lt", "--spec", str(spec), "--out", str(tmp_path / "x.tbl")]) == 2
     assert capsys.readouterr().err == (
-        "error: 13 distinct scanner leaves would need 2^13 checkpoints; at most 12 are compiled\n"
+        "error: 13 distinct scanner leaves give 8192 verdict vectors to search;"
+        " the budget is 4096\n"
     )
     assert not (tmp_path / "x.tbl").exists()
 

@@ -1,6 +1,7 @@
 """Engine semantics: stepping, verdicts, budgets, validation."""
 
 import dataclasses
+import functools
 import itertools
 import random
 import weakref
@@ -198,6 +199,41 @@ def test_configurations_yields_step_zero_and_stops_on_cycle():
     assert len(set(configs)) == len(configs)
 
 
+class Colliding:
+    """A configuration whose hash is that of every other; counts its hashes."""
+
+    hashes = 0
+
+    def __init__(self, value):
+        self.value = value
+
+    def __hash__(self):
+        Colliding.hashes += 1
+        return 0
+
+    def __eq__(self, other):
+        return self.value == other.value
+
+
+@pytest.mark.parametrize(
+    "tail, cycle", [(0, 1), (3, 5), (2, _CYCLE_WINDOW), (4, _CYCLE_WINDOW + 1), (1, 40)]
+)
+def test_evolve_cuts_colliding_configurations_by_the_window_rule(tail, cycle):
+    """Equal hashes must not stop a run early: ``_evolve`` stops where the
+    window rule says, having hashed each configuration once."""
+
+    def step(config):
+        return Colliding(config.value + 1 if config.value + 1 < tail + cycle else tail)
+
+    stepper = type("Stepper", (), {"step": staticmethod(step)})
+    want = [c.value for c in reference_orbit(step, Colliding(0), 100)]
+    Colliding.hashes = 0
+    got = [c.value for c in _evolve(stepper, Colliding(0), 100)]
+    assert got == want
+    # Every configuration stepped to is hashed once, the one cut off too.
+    assert Colliding.hashes == min(len(got) + 1, 101)
+
+
 def test_default_budget_formula():
     assert default_max_steps(1) == 20
     assert default_max_steps(10) == 56
@@ -352,16 +388,21 @@ def reference_classify(automaton, config):
     return None
 
 
-def reference_evolution(automaton, word, max_steps):
-    """Step 0 and one configuration per step, cut before a repeat of any of
-    the last ``_CYCLE_WINDOW`` configurations."""
-    history = [tuple(word)]
+def reference_orbit(step, start, max_steps):
+    """``start`` and one value of ``step`` per step, cut before a repeat of
+    any of the last ``_CYCLE_WINDOW`` values."""
+    history = [start]
     for _ in range(max_steps):
-        config = reference_step(automaton, history[-1])
+        config = step(history[-1])
         if config in history[-_CYCLE_WINDOW:]:
             break
         history.append(config)
     return history
+
+
+def reference_evolution(automaton, word, max_steps):
+    """Step 0 and one configuration per step, cut by the window rule."""
+    return reference_orbit(functools.partial(reference_step, automaton), tuple(word), max_steps)
 
 
 def reference_run(automaton, word, max_steps):

@@ -267,7 +267,7 @@ def test_lt_decider_matches_the_profile_table_on_every_realizer():
             assert (verdict.kind == ACCEPT) == table.bits[key], word
 
 
-def test_lt_decider_has_one_checkpoint_per_set_of_distinct_leaves(tmp_path):
+def test_lt_decider_counts_a_scanner_bound_twice_as_one_leaf(tmp_path):
     # One window test in two files, so under two scanner names, is one leaf.
     (tmp_path / "zeros.scan").write_text("k: 1\nalphabet: 0 1\npi: 0\nsigma: 0\nmu: 0\n")
     (tmp_path / "nothing-but-0.scan").write_text((tmp_path / "zeros.scan").read_text())
@@ -278,30 +278,93 @@ def test_lt_decider_has_one_checkpoint_per_set_of_distinct_leaves(tmp_path):
     assert {leaf.name for leaf in expr.leaves()} == {"zeros", "nothing-but-0"}
     assert set(expr.leaves()) == {ALL0}
     dec = compile_lt_to_daca(expr)
-    assert dec.time_bound == 1 + 2**1 + 1
+    assert dec.time_bound == 1 + 2 + 1  # checkpoints ({a}, 1) and ({}, 0)
     for w in words("01", 6):
         assert (run_decider(dec, w).kind == ACCEPT) == ("1" not in w), w
+    # Each leaf of a union gets one checkpoint, and the empty set one more.
     two = compile_lt_to_daca(lt_or(lt_scanner(PAIR01), lt_scanner(ALL0), lt_scanner(PAIR01)))
-    assert two.time_bound == 2 + 2**2 + 1
+    assert two.time_bound == 2 + 3 + 1
+
+
+# Twelve distinct window-3 leaves, and a thirteenth.
+WINDOWS3 = ["".join(t) for t in itertools.product(BITS, repeat=3)]
+WIDE_LEAVES = [
+    Scanner(k=3, alphabet=BITS, pi=frozenset(WINDOWS3), sigma=frozenset(WINDOWS3),
+            mu=frozenset(WINDOWS3) - {WINDOWS3[i]}, name=f"all-but-{i}")
+    for i in range(8)
+] + [
+    Scanner(k=3, alphabet=BITS, pi=frozenset(WINDOWS3) - {WINDOWS3[i]},
+            sigma=frozenset(WINDOWS3), mu=frozenset(WINDOWS3), name=f"starts-not-{i}")
+    for i in range(5)
+]
 
 
 def test_lt_decider_refuses_more_than_12_distinct_leaves(monkeypatch):
-    windows = ["".join(t) for t in itertools.product(BITS, repeat=3)]
-    scanners = [
-        Scanner(k=3, alphabet=BITS, pi=frozenset(windows), sigma=frozenset(windows),
-                mu=frozenset(windows) - {windows[i]}, name=f"all-but-{i}")
-        for i in range(8)
-    ] + [
-        Scanner(k=3, alphabet=BITS, pi=frozenset(windows) - {windows[i]},
-                sigma=frozenset(windows), mu=frozenset(windows), name=f"starts-not-{i}")
-        for i in range(5)
-    ]
-    assert compile_lt_to_daca(lt_or(*map(lt_scanner, scanners[:12]))).time_bound == 3 + 4096 + 1
+    # A union keeps one checkpoint per leaf and one for the empty set.
+    assert compile_lt_to_daca(lt_or(*map(lt_scanner, WIDE_LEAVES[:12]))).time_bound == 3 + 13 + 1
     built = []
     monkeypatch.setattr(localtests, "_evaluate", lambda *args: built.append(args) or True)
-    with pytest.raises(ParameterError, match="^13 distinct scanner leaves .* at most 12"):
-        compile_lt_to_daca(lt_or(*map(lt_scanner, scanners)))
+    with pytest.raises(ParameterError, match="^13 distinct scanner leaves give 8192 verdict"
+                                             " vectors to search; the budget is 4096$"):
+        compile_lt_to_daca(lt_or(*map(lt_scanner, WIDE_LEAVES)))
     assert built == []
+
+
+def test_lt_decider_or_of_negated_leaves_needs_two_checkpoints():
+    expr = lt_or(*(lt_not(lt_scanner(s)) for s in WIDE_LEAVES[:12]))
+    dec = compile_lt_to_daca(expr)
+    assert dec.time_bound <= 3 + 2 + 1
+    for w in words("01", 7):
+        assert (run_decider(dec, w).kind == ACCEPT) == lt_eval(expr, w), w
+
+
+def lt_xor(*children):
+    """Parity of the children, in and/or/not."""
+    first, *rest = children
+    for child in rest:
+        first = lt_or(lt_and(first, lt_not(child)), lt_and(lt_not(first), child))
+    return first
+
+
+def test_lt_decider_keeps_every_checkpoint_of_a_parity():
+    expr = lt_xor(*map(lt_scanner, FIVE_W1))
+    dec = compile_lt_to_daca(expr)
+    assert dec.time_bound == 1 + 2**5 + 1
+    for w in words("01", 6):
+        assert (run_decider(dec, w).kind == ACCEPT) == lt_eval(expr, w), w
+
+
+# Eight distinct window-1 leaves, and and/or/not trees over them.
+EIGHT_W1 = [
+    Scanner(k=1, alphabet=BITS, pi=frozenset(pi), sigma=frozenset(BITS), mu=frozenset(mu),
+            name=f"eight-{pi}-{mu}")
+    for pi, mu in itertools.product(["0", "1", "01", ""], ["1", "01"])
+]
+lt_trees = st.recursive(
+    st.sampled_from(EIGHT_W1).map(lt_scanner),
+    lambda kids: st.one_of(
+        kids.map(lt_not),
+        st.lists(kids, min_size=1, max_size=3).map(lambda c: lt_or(*c)),
+        st.lists(kids, min_size=1, max_size=3).map(lambda c: lt_and(*c)),
+    ),
+    max_leaves=16,
+)
+
+
+@given(lt_trees)
+def test_lt_schedule_is_a_decision_list_for_the_expression(expr):
+    """On every vector V of leaf verdicts, realizable or not, the first
+    checkpoint whose mask lies in V has the expression's bit on V."""
+    leaves = list(dict.fromkeys(expr.leaves()))  # bit i is leaf i, by first use
+    m = len(leaves)
+    dec = compile_lt_to_daca(expr)
+    schedule = dec.accepting.args[0]  # the accept face's (mask, bit) list
+    assert len(schedule) <= 2**m
+    assert dec.time_bound == 1 + len(schedule) + 1
+    for vector in range(2**m):
+        held = {leaf for i, leaf in enumerate(leaves) if vector >> i & 1}
+        first = next(bit for mask, bit in schedule if vector & mask == mask)
+        assert first == localtests._evaluate(expr, lambda leaf, true: leaf in true, held), vector
 
 
 def test_lt_decider_verdict_time_depends_only_on_profile():
@@ -505,7 +568,8 @@ def test_tabulate_round_trips_an_acceptor():
         ), w
 
 
-# Five distinct window-1 leaves: 2^5 checkpoints.
+# Five distinct window-1 leaves; their or of negations keeps 2 of the 2^5
+# checkpoints (all five, and none).
 FIVE_W1 = [
     Scanner(k=1, alphabet=BITS, pi=frozenset(pi), sigma=frozenset(sigma), mu=frozenset(mu),
             name=f"five-{i}")
@@ -551,15 +615,18 @@ def test_tabulate_probe_of_window_plus_four_is_complete(machine, gather):
     "expr", [SOMEONE_EXPR, TABLE_EXPR, FIVE_EXPR], ids=["window1", "window2", "five-leaves"]
 )
 def test_compiled_cells_keep_a_checkpoint_and_leaf_bits_after_gathering(expr):
-    # With m leaves, at most 2^m checkpoints times 2^m leaf bit sets.
+    # With m leaves, a schedule of at most 2^m checkpoints (one step each
+    # between gathering and the time bound) times 2^m leaf bit sets.
     m = len(set(expr.leaves()))
     machine = compile_lt_to_daca(expr)
+    checkpoints = machine.time_bound - expr.window - 1
+    assert checkpoints <= 2**m
     states, _ = core.observe(machine, words("01", expr.window + 4), _TABULATE_STEP_CEILING)
     checked = [s for s in states if not isinstance(s, (str, localtests.WState))]
     assert checked
     for state in checked:
         checkpoint, holds = state
-        assert 0 <= checkpoint < 2**m and 0 <= holds < 2**m, state
+        assert 0 <= checkpoint < checkpoints and 0 <= holds < 2**m, state
 
 
 def test_tabulate_errors():
