@@ -316,10 +316,18 @@ class _BlockPlanes(SpacedWords):
         super().__init__(words, int(text.translate(_CELL), 2))
         cells = self.cells
         self.s0, self.s1 = s0, s1 = int(text.translate(_IS0), 2), int(text.translate(_IS1), 2)
-        self.b = s0 | s1
-        self.sh = cells ^ self.b
-        self.lh = (self.sh << 1) & cells
-        self.lb = (self.b << 1) & cells
+        self.b = b = s0 | s1
+        self.sh = cells ^ b
+        self.lh = lh = (self.sh << 1) & cells
+        self.lb = (b << 1) & cells
+        # Step constants: where an F visit passes (a 1 in a word's first
+        # cell, a 0 elsewhere), where a C visit passes at once (a 0 just
+        # right of a separator) and where it compares instead, and the
+        # block cells a census marker can hop into.
+        firsts = self.firsts
+        self.f_pass = (firsts & s1) | (s0 & ~firsts)
+        self.lh0, self.not_lh = lh & s0, ~lh
+        self.hop = b & self.lb
         self.start = ()
 
     def step(self, config: tuple) -> tuple:
@@ -336,19 +344,24 @@ class _BlockPlanes(SpacedWords):
         # the cells at once, so no spacer ever holds a bit.
         l0, l1, lh, lx = rf0 << 1, rf1 << 1, rfh << 1, rfx << 1
         n0, n1 = (ls0 >> 1) & cells, (ls1 >> 1) & cells
-        idle = cells ^ emit
-        she, be = sh & emit, b & emit
-        dead |= she & (l0 | l1 | lh | lx)  # a clash: the left block is shorter
-        stop = (she & ~(n0 | n1)) | (be & (hdh | hdq))  # cells emitting their head
-        rf0 = (idle & l0) | (she & n0) | (be & hd0)
-        rf1 = (idle & l1) | (she & n1) | (be & hd1)
-        idle_lh = idle & lh
-        rfh = (b & idle_lh) | stop
-        rfx = (idle & lx) | (sh & idle_lh)
-        hd0, hd1, hdh = be & ls0, be & ls1, be & lsh
-        hdq = be ^ (hd0 | hd1 | hdh)  # ls values are one-hot, 'q' has no bit
-        emit ^= stop
+        if emit:
+            idle = cells ^ emit
+            she, be = sh & emit, b & emit
+            dead |= she & (l0 | l1 | lh | lx)  # a clash: the left block is shorter
+            stop = (she & ~(n0 | n1)) | (be & (hdh | hdq))  # cells emitting their head
+            rf0 = (idle & l0) | (she & n0) | (be & hd0)
+            rf1 = (idle & l1) | (she & n1) | (be & hd1)
+            idle_lh = idle & lh
+            rfh = (b & idle_lh) | stop
+            rfx = (idle & lx) | (sh & idle_lh)
+            hd0, hd1, hdh = be & ls0, be & ls1, be & lsh
+            hdq = be ^ (hd0 | hd1 | hdh)  # ls values are one-hot, 'q' has no bit
+            emit ^= stop
+        else:  # every head is out: each cell forwards the chain, none holds
+            rf0, rf1, rfh, rfx = l0 & cells, l1 & cells, b & lh, (lx & cells) | (sh & lh)
+            hd0 = hd1 = hdh = hdq = 0
         ls0, ls1, lsh = n0, n1, (lsh >> 1) & cells
+        same = (s0 & rf0) | (s1 & rf1)  # cells whose symbol is the chain's value
 
         # Visits at their par-1 step move right, out of block cells only.
         lv = (v1 & b) << 1  # par 1 implies a visit
@@ -368,7 +381,6 @@ class _BlockPlanes(SpacedWords):
         if counter:
             # The stream slot is the previous block's same-index bit.
             unset = counter & ~vfp
-            same = (s0 & rf0) | (s1 & rf1)
             carry = unset & s1 & rf0
             passed = (unset & same) | carry | (counter & vfp & s0 & rf1)
             dead |= counter ^ passed
@@ -393,10 +405,8 @@ class _BlockPlanes(SpacedWords):
             mode_c = (from_left & lvc) | comparing
             mode_f = entering ^ mode_c
             fsm, ones = from_left & lvp, (from_left & lvo) | first | comparing
-            if self.shift:  # an F visit wants a 1 in the first cell, 0 elsewhere
-                same = (s0 & rf0) | (s1 & rf1)
-                passed = (mode_f & ((firsts & s1) | (s0 & ~firsts))) | (
-                    mode_c & ((self.lh & s0) | (~self.lh & same)))
+            if self.shift:
+                passed = (mode_f & self.f_pass) | (mode_c & (self.lh0 | (self.not_lh & same)))
             else:
                 passed = (mode_f & s0) | mode_c
             dead |= entering ^ passed
@@ -417,7 +427,7 @@ class _BlockPlanes(SpacedWords):
         if self.decider:
             phase = phase + 1 if phase < 5 else 0
             if phase == 1:  # census: markers hop right, soiling when they leave a 1
-                hop = b & self.lb
+                hop = self.hop
                 mc, ms = hop & ((mc & ~s1) << 1), hop & ((ms | (mc & s1)) << 1)
         return (ls0, ls1, lsh, hd0, hd1, hdh, hdq, rf0, rf1, rfh, rfx, emit, nvp, nvc, nv1,
                 nvfp, nvo, ok, dead, mc, ms, 1, phase)

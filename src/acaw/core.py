@@ -107,8 +107,11 @@ class Automaton:
     :mod:`acaw._planes` does.  A one-word run also gives ``states(config)``,
     the cells' states as the rule would build them, and
     ``leftmost_open(config)``, its leftmost cell that does not accept and
-    leftmost that does not reject (None where every cell does).  Configurations are any hashable values, equal exactly
-    when their cells' states are.  A single run is the one-word case;
+    leftmost that does not reject (None where every cell does).
+    Configurations are any values that are equal exactly when their cells'
+    states are.  Untraced runs only compare them with ``==``; traced runs
+    and :func:`configurations` also hash them, so they must be hashable.
+    A single run is the one-word case;
     :func:`run_many` steps many words as one run.  The run helpers and
     :func:`configurations` step on the kernel; :func:`global_step`,
     :func:`classify`, :func:`face_bits`, :func:`validate` and :func:`observe`
@@ -503,27 +506,50 @@ def _start(
     return runner, tuple(map(runner.intern, symbols)), max_steps
 
 
-def _evolve(stepper: Any, config: Any, max_steps: int) -> Iterator[Any]:
+def _evolve(stepper: Any, config: Any, max_steps: int, anchored: bool = False) -> Iterator[Any]:
     """Yield ``config``, then one configuration per step for ``max_steps`` steps.
 
-    The engine's only stepping loop and its one cycle check, for a runner or
-    a kernel's run.  Each configuration is its own cycle key.  Stops early,
-    before a configuration that repeats one of the last ``_CYCLE_WINDOW``:
-    the evolution is deterministic, so a repeat can never lead anywhere new.
-    Each configuration is hashed once, and compared only with those of the
-    window whose hash it shares.
+    The engine's only stepping loop and its cycle check, for a runner or a
+    kernel's run.  Each configuration is its own cycle key, and the loop
+    stops early, before a configuration that repeats an earlier one: the
+    evolution is deterministic, so a repeat can never lead anywhere new.
+    Two rules find repeats.
+
+    * The window rule (the default) compares each configuration with the
+      last ``_CYCLE_WINDOW``, so it stops at the first repeat of a cycle
+      whose period is at most the window's length and misses longer ones.
+      Each configuration is hashed once, and compared only with those of
+      the window whose hash it shares.  Traced runs, :func:`configurations`,
+      :func:`leftmost_open` and :func:`observe` use it, so what they show of
+      a short cycle ends at its first repeat, as it always has.
+    * The anchor rule (``anchored``, after Brent 1980) compares each
+      configuration with one saved anchor, re-saved at steps 1, 2, 4, 8, ...
+      It hashes nothing and catches any period.  An evolution with a tail of
+      length mu and a period of lambda stops by step
+      2 * max(mu, lambda) + lambda, or at the budget: the first anchor saved
+      at step 2^k >= max(mu, lambda) lies on the cycle and is met again
+      lambda steps later, before the next re-save.
     """
     yield config
-    recent: deque = deque((config,), maxlen=_CYCLE_WINDOW)
-    hashes: deque = deque((hash(config),), maxlen=_CYCLE_WINDOW)
-    for _ in range(max_steps):
+    if anchored:
+        anchor, due = config, 1
+    else:
+        recent: deque = deque((config,), maxlen=_CYCLE_WINDOW)
+        hashes: deque = deque((hash(config),), maxlen=_CYCLE_WINDOW)
+    for steps in range(1, max_steps + 1):
         config = stepper.step(config)
-        key = hash(config)
-        if key in hashes and config in recent:
-            return
+        if anchored:
+            if config == anchor:
+                return
+            if steps == due:
+                anchor, due = config, 2 * due
+        else:
+            key = hash(config)
+            if key in hashes and config in recent:
+                return
+            recent.append(config)
+            hashes.append(key)
         yield config
-        recent.append(config)
-        hashes.append(key)
 
 
 def _run(
@@ -533,13 +559,23 @@ def _run(
     collect_trace: bool,
     want_reject: bool,
 ) -> Verdict:
+    """One run, stopped at its first final configuration, a repeat or the
+    budget, and on an untraced acceptor run also at a doomed cell.
+
+    A traced run finds repeats by :func:`_evolve`'s window rule, so its
+    trace ends where it always has; an untraced run by the anchor rule,
+    which hashes nothing and catches any period.  The two stop a cycling
+    run at different steps, but never give a different verdict or step
+    count: either stops only at a configuration equal to an earlier one,
+    from where the run goes round configurations already found not final.
+    """
     stepper, config, max_steps = _start(automaton, word, max_steps)
     raw_configs = []
     # Doom is successor-closed, so looking only at steps 0, 1, 2, 4, ... stops
     # a hopeless run at most twice as late, with no scan at every step.
     doom = not (collect_trace or want_reject) and automaton.doomed is not None
     outcome, at = TIMEOUT, None
-    for steps, config in enumerate(_evolve(stepper, config, max_steps)):
+    for steps, config in enumerate(_evolve(stepper, config, max_steps, not collect_trace)):
         if collect_trace:
             raw_configs.append(stepper.states(config))
         accepted, rejected = stepper.finality(config, want_reject)
@@ -565,10 +601,12 @@ def run_many(
     runs all the words as one run through :func:`_evolve`; each word keeps its
     own budget (``max_steps``, or its length's default), stops at its own
     verdict, and, on an acceptor with a doomed face, stops as a timeout once
-    one of its cells is doomed (looked for at steps 0, 1, 2, 4, ...).  A repeat
-    of the whole run's configuration pins every open word to a cycle, so each
-    is a timeout, as its single run would be.  Other machines run word by
-    word.
+    one of its cells is doomed (looked for at steps 0, 1, 2, 4, ...).  The run
+    finds repeats by :func:`_evolve`'s anchor rule, as a single untraced run
+    does.  A repeat of the whole run's configuration repeats each open
+    word's, which pins the word to a cycle of configurations already found
+    not final, so each is a timeout, as its single run would be.  Other
+    machines run word by word.
     """
     want_reject = automaton.is_decider
     # A string is already the tuple of its one-character symbols; keeping it
@@ -603,7 +641,7 @@ def run_many(
     open_ = run.spacers
     doom = not want_reject and automaton.doomed is not None
     results: list = [(TIMEOUT, None)] * len(inputs)
-    for steps, config in enumerate(_evolve(run, run.start, max(budgets))):
+    for steps, config in enumerate(_evolve(run, run.start, max(budgets), anchored=True)):
         accepted, rejected = run.finality(config, want_reject)
         for kind, bits in ((ACCEPT, accepted & open_), (REJECT, rejected & open_)):
             if bits:

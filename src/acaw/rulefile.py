@@ -145,14 +145,12 @@ class _TablePlanes(SpacedWords):
                          map(operator.methodcaller("index", "1"), columns)))
 
 
-@functools.lru_cache(maxsize=64)
 def _compile(
     states: int, exact: tuple, wild: tuple, default_center: bool, accept: tuple, reject: tuple
 ) -> tuple[Callable, Callable]:
     """A table's ``step`` and ``faces`` on planes (see :class:`_Rows`), each
     one straight-line function.  Compiling costs some twenty times parsing
-    a small table, and the zoo builds its tables afresh on every call, so
-    equal rows share one compiled pair.
+    a small table, so the zoo compiles each of its tables once per process.
 
     Each row is (left, centre, right, output) as plane indices, with
     ``states`` for the border and ``states + 1`` for any.  The rows keep

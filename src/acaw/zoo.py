@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 from ._blockca import INCREMENT, SHIFT, block_automaton
@@ -60,9 +60,21 @@ default: none
 """
 
 
-def _table_machine(text: str, name: str) -> Automaton:
-    machine = parse_rule_table(text, name=name)
+@lru_cache(maxsize=3)  # one per zoo table
+def _template(text: str, name: str, parse: Callable) -> Automaton:
+    machine = parse(text, name=name)
     return dataclasses.replace(machine, kernel=table_kernel(machine))
+
+
+def _table_machine(text: str, name: str) -> Automaton:
+    """A fresh machine from the table's template, parsed and compiled once.
+
+    The copy shares the template's rule, faces and kernel but gets its own
+    cold rule memo, so every build runs as the first one did.  The template
+    is keyed by the parser in use too, so a parser swapped in at run time
+    (a tracer's, say) reads each table once before its copies are served.
+    """
+    return dataclasses.replace(_template(text, name, parse_rule_table))
 
 
 def build_pair01_aca() -> Automaton:

@@ -17,6 +17,7 @@ from acaw import (
 )
 from acaw import cli
 from acaw.cli import main
+from acaw.zoo import TABLE_SOURCES, ZOO, zoo_automaton
 
 DFA_PARITY = """\
 alphabet: 0 1
@@ -519,6 +520,19 @@ def test_zoo_build(tmp_path, capsys):
     assert main(["run", str(out), "--input", "01"]) == 0
     assert main(["zoo", "build", "bin", "--out", str(tmp_path / "bin.tbl")]) == 2
     assert main(["zoo", "build", "nope", "--out", str(tmp_path / "x.tbl")]) == 2
+
+
+def test_zoo_build_writes_each_table_verbatim(tmp_path):
+    """Building the machines first, which parses their tables once, leaves
+    the text that `zoo build` writes as it is."""
+    for name, source in TABLE_SOURCES.items():
+        machine = zoo_automaton(name, decider=ZOO[name][0] is None)
+        out = tmp_path / f"{name}.tbl"
+        assert main(["zoo", "build", name, "--out", str(out)]) == 0
+        assert out.read_text() == source
+        run = run_decider if machine.is_decider else run_acceptor
+        for word in ("0", "01", "0101", "0110"):
+            assert run(load_rule_table(out), word) == run(machine, word)
 
 
 def test_usage_exits():

@@ -215,23 +215,100 @@ class Colliding:
         return self.value == other.value
 
 
+def colliding_orbit(tail, cycle):
+    """A stepper over ``Colliding`` values 0, 1, ..., tail + cycle - 1, then
+    back to ``tail``, and its step function."""
+
+    def step(config):
+        return Colliding(config.value + 1 if config.value + 1 < tail + cycle else tail)
+
+    return type("Stepper", (), {"step": staticmethod(step)}), step
+
+
 @pytest.mark.parametrize(
     "tail, cycle", [(0, 1), (3, 5), (2, _CYCLE_WINDOW), (4, _CYCLE_WINDOW + 1), (1, 40)]
 )
 def test_evolve_cuts_colliding_configurations_by_the_window_rule(tail, cycle):
     """Equal hashes must not stop a run early: ``_evolve`` stops where the
     window rule says, having hashed each configuration once."""
-
-    def step(config):
-        return Colliding(config.value + 1 if config.value + 1 < tail + cycle else tail)
-
-    stepper = type("Stepper", (), {"step": staticmethod(step)})
+    stepper, step = colliding_orbit(tail, cycle)
     want = [c.value for c in reference_orbit(step, Colliding(0), 100)]
     Colliding.hashes = 0
     got = [c.value for c in _evolve(stepper, Colliding(0), 100)]
     assert got == want
     # Every configuration stepped to is hashed once, the one cut off too.
     assert Colliding.hashes == min(len(got) + 1, 101)
+
+
+def anchor_stop_bound(tail, cycle):
+    return 2 * max(tail, cycle) + cycle
+
+
+def test_evolve_anchor_rule_stops_on_any_period():
+    """On every orbit with a tail under 20 and a period under 45, the anchor
+    rule yields only the orbit, hashes nothing, and stops at a true repeat by
+    step 2 * max(tail, cycle) + cycle, or at the budget."""
+    Colliding.hashes = 0
+    for tail in range(20):
+        for cycle in range(1, 45):
+            stepper, _ = colliding_orbit(tail, cycle)
+            orbit = [i if i < tail + cycle else tail + (i - tail) % cycle for i in range(200)]
+            bound = anchor_stop_bound(tail, cycle)
+            for budget in (0, bound - 1, bound, 150):
+                got = [c.value for c in _evolve(stepper, Colliding(0), budget, anchored=True)]
+                assert got == orbit[: len(got)], (tail, cycle, budget)
+                if len(got) <= budget:  # stopped before the budget: the next one repeats
+                    assert orbit[len(got)] in got
+                    assert tail + cycle <= len(got) <= bound, (tail, cycle, budget)
+                else:
+                    assert len(got) == budget + 1 and budget < bound, (tail, cycle, budget)
+    assert Colliding.hashes == 0
+
+
+# One signal that bounces between the borders: a cell takes the signal from
+# its neighbour and turns it around on reaching the last cell or the first,
+# so from ``r0...0`` the run repeats with period 2(n - 1).
+BOUNCE_TABLE = """\
+alphabet: 0 r
+states: 0 r l a
+accept: a
+rule: r 0 q -> l
+rule: r 0 * -> r
+rule: q 0 l -> r
+rule: * 0 l -> l
+rule: * r * -> 0
+rule: * l * -> 0
+default: center
+"""
+
+
+@pytest.mark.parametrize("kernel", [False, True], ids=["memo", "kernel"])
+@pytest.mark.parametrize("n", range(2, 15))
+def test_untraced_runs_catch_a_bouncing_signal_of_any_period(n, kernel, monkeypatch):
+    """Periods over 16 pass the window: the traced run, as the reference says,
+    runs its whole budget.  The untraced run stops before the budget,
+    by the anchor rule's bound, and both are timeouts."""
+    machine = parse_rule_table(BOUNCE_TABLE, name="bounce")
+    if kernel:
+        machine = dataclasses.replace(machine, kernel=rulefile.table_kernel(machine))
+    word = "r" + "0" * (n - 1)
+    budget = default_max_steps(n)
+    traced = run_acceptor(machine, word, collect_trace=True)
+    assert (traced.kind, traced.steps, traced.trace.configurations) == reference_run(
+        machine, word, budget)
+    period = 2 * (n - 1)
+    assert len(traced.trace.configurations) == (budget + 1 if period > _CYCLE_WINDOW
+                                                else period)
+    steps = []
+    stepper = rulefile._TablePlanes if kernel else core._Runner
+    step = stepper.step
+    monkeypatch.setattr(stepper, "step", lambda self, config: steps.append(config)
+                        or step(self, config))
+    assert (run_acceptor(machine, word).kind, run_many(machine, [word])) == (
+        TIMEOUT, [(TIMEOUT, None)])
+    single = len(steps) // 2
+    assert steps[:single] == steps[single:]  # run_many stepped the same run
+    assert period <= single <= min(anchor_stop_bound(0, period), budget - 1)
 
 
 def test_default_budget_formula():
@@ -480,6 +557,13 @@ def test_engine_matches_reference_stepper(data):
     verdict = run(machine, word, max_steps, collect_trace=True)
     expected = reference_run(machine, word, budget)
     assert (verdict.kind, verdict.steps, verdict.trace.configurations) == expected
+    # Untraced runs stop on cycles by the anchor rule, at other steps than the
+    # window's, but every verdict and step count must be the reference's.
+    on_planes = dataclasses.replace(machine, kernel=rulefile.table_kernel(machine))
+    for each in (machine, on_planes):
+        untraced = run(each, word, max_steps)
+        assert (untraced.kind, untraced.steps) == expected[:2]
+        assert run_many(each, [word], max_steps) == [expected[:2]]
 
     config = tuple(data.draw(st.lists(st.sampled_from(states), min_size=1, max_size=6)))
     assert global_step(machine, config) == reference_step(machine, config)
@@ -500,6 +584,9 @@ def test_engine_matches_reference_stepper_on_block_machines(family, role):
         verdict = run(machine, word, collect_trace=True)
         expected = reference_run(machine, word, default_max_steps(len(word)))
         assert (verdict.kind, verdict.steps, verdict.trace.configurations) == expected, word
+        untraced = run(machine, word)
+        assert (untraced.kind, untraced.steps) == expected[:2], word
+        assert run_many(machine, [word]) == [expected[:2]], word
 
 
 BLOCK_MACHINES = [("idmat", "acceptor"), ("idmat", "decider"), ("bin", "acceptor")]

@@ -260,6 +260,20 @@ def test_exhaustive_small_soundness():
         assert v.kind != TIMEOUT and (v.kind == ACCEPT) == ("1" in w), w
 
 
+@pytest.mark.parametrize("name, decider", [("pair01", False), ("zeros", False),
+                                           ("someone", True)])
+def test_zoo_tables_share_their_parse_but_not_their_runner(name, decider):
+    """A table is parsed and compiled once per process; each build is a new
+    machine whose rule memo starts cold."""
+    first, second = (zoo_automaton(name, decider=decider) for _ in range(2))
+    assert first is not second
+    assert (first.rule, first.kernel) == (second.rule, second.kernel)
+    assert core._runner_for(first) is not core._runner_for(second)
+    core.global_step(first, ("0", "1", "1"))
+    assert core._runner_for(first).table
+    assert not core._runner_for(second).table
+
+
 def test_zoo_lookup_errors():
     with pytest.raises(ParameterError):
         zoo_automaton("nope")
