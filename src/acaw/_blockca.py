@@ -306,8 +306,8 @@ class _BlockPlanes(SpacedWords):
     A configuration is a tuple of 21 planes (ls 0/1/#, hold 0/1/#/q, rf
     0/1/H/X, emit, verifier present/mode C/par 1/fsm p/ones, ok, dead,
     marker C/S) and then age and phase; equal states give equal
-    configurations.  The step-0 configuration is ``()``.  Word j's verdict
-    bit is its spacer's, at position ``ends[j]``.
+    configurations.  The step-0 configuration is ``()``.  Each word's
+    verdict bit is its spacer's.
     """
 
     def __init__(self, shift: bool, decider: bool, words: list):

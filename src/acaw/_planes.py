@@ -9,13 +9,16 @@ the cells.  The first and last cells of the words are the planes ``firsts``
 and ``lasts``.  Each word's verdict bit is its spacer's, read by one add that
 carries into the spacer exactly when a test holds on the word's cells:
 :meth:`SpacedWords.every` and :meth:`SpacedWords.some`.
+
+:func:`acaw.core.run_many` hands a kernel its words sorted by length, so
+the words of one length n are one span: equal strides of n + 1 bits, the
+spacer last in each.  It finds a word's spacer from the span's first
+spacer and the stride, and reads all of a span's verdict bits as one
+strided slice of a digit string, so a run keeps no per-word positions.
 """
 
 from __future__ import annotations
 
-import array
-import functools
-import itertools
 from typing import Optional
 
 
@@ -23,7 +26,11 @@ def spaced_text(words: list, spacer: str) -> str:
     """The words (strings or tuples of one-character symbols) joined by
     ``spacer`` and reversed, so that ``int(s, 2)`` of a translation reads the
     first word's first cell as bit 0."""
-    return spacer.join([w if isinstance(w, str) else "".join(w) for w in words])[::-1]
+    try:
+        text = spacer.join(words)
+    except TypeError:  # some words are tuples
+        text = spacer.join([w if isinstance(w, str) else "".join(w) for w in words])
+    return text[::-1]
 
 
 def lowest(bits: int) -> Optional[int]:
@@ -35,8 +42,7 @@ class SpacedWords:
     """The layout of one kernel run: ``words`` side by side, their cells the
     set bits of ``cells``, each word followed by a spacer bit.
 
-    ``spacers`` holds every word's spacer, the last word's too, and ``ends``
-    their positions in word order.
+    ``spacers`` holds every word's spacer, the last word's too.
     """
 
     def __init__(self, words: list, cells: int):
@@ -44,12 +50,6 @@ class SpacedWords:
         self.spacers = ((2 << cells.bit_length()) - 1) ^ cells
         self.firsts = cells & ~(cells << 1)
         self.lasts = cells & ~(cells >> 1)
-
-    @functools.cached_property
-    def ends(self) -> array.array:
-        # an array, not a list of ints: a batch may hold thousands of words
-        return array.array("q", itertools.accumulate(
-            map((1).__add__, map(len, self.words)), initial=-1))[1:]
 
     def every(self, plane: int) -> int:
         """The spacer bits of the words whose every cell is in ``plane``, a

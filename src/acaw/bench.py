@@ -14,10 +14,12 @@ responsible.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import operator
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import (
     ACCEPT,
@@ -215,12 +217,21 @@ class VerifyReport:
         return not self.mismatches
 
 
-def _lex_words(alphabet: tuple, max_len: int) -> Iterable[str]:
+# The most words one run_many call of verify_equivalence takes: a chunk
+# holds words of one length, so a machine without a kernel, which runs word
+# by word, keeps only a chunk's verdicts at a time.
+VERIFY_CHUNK = 4096
+
+
+def _lex_chunks(alphabet: tuple, max_len: int) -> Iterator[list[str]]:
+    """The words of lengths 1 to ``max_len`` in lexicographic order, in
+    chunks of one length and at most :data:`VERIFY_CHUNK` words."""
     symbols = sorted(alphabet)
     frontier = [""]
     for _ in range(max_len):
         frontier = [w + s for w in frontier for s in symbols]
-        yield from frontier
+        for start in range(0, len(frontier), VERIFY_CHUNK):
+            yield frontier[start : start + VERIFY_CHUNK]
 
 
 def verify_equivalence(
@@ -235,38 +246,34 @@ def verify_equivalence(
     Acceptor mode demands accept exactly on oracle-positive words, with a
     timeout counting as a plain non-accept.  Decider mode demands the
     matching verdict on every word and treats any timeout as a mismatch,
-    since a decider must always answer.
+    since a decider must always answer.  Mismatches come in word order.
+
+    The words run through :func:`run_many`, one chunk of one length at a
+    time (see :data:`VERIFY_CHUNK`); a machine with a kernel steps each
+    chunk as one run.  Each chunk is scored by C-level maps over its
+    verdict kinds and oracle bits, so only the oracle runs Python per word.
     """
     if max_len < 1:
         raise ParameterError("max_len must be >= 1")
     if mode == "acceptor":
         if automaton.is_decider:
             raise ModeError(f"{automaton.name} is a decider")
-        runner = run_acceptor
     elif mode == "decider":
         if not automaton.is_decider:
             raise ModeError(f"{automaton.name} is an acceptor")
-        runner = run_decider
     else:
         raise ParameterError(f"mode must be acceptor or decider, not {mode!r}")
-    words = _lex_words(automaton.input_alphabet, max_len)
-    if automaton.kernel is None:
-        # Word by word, through this module's run_acceptor and run_decider.
-        outcomes = ((w, runner(automaton, w, max_steps=max_steps).kind) for w in words)
-    else:
-        words = list(words)
-        outcomes = zip(words, [kind for kind, _ in run_many(automaton, words, max_steps)])
-    mismatches = []
+    mismatches: list = []
     checked = 0
-    for word, kind in outcomes:
-        checked += 1
-        want = bool(oracle(word))
+    for words in _lex_chunks(automaton.input_alphabet, max_len):
+        kinds = list(map(operator.itemgetter(0), run_many(automaton, words, max_steps)))
+        wants = list(map(bool, map(oracle, words)))
         if mode == "acceptor":
-            bad = (kind == ACCEPT) != want
-        else:
-            bad = kind != (ACCEPT if want else REJECT)
-        if bad:
-            mismatches.append((word, kind, want))
+            bad = map(operator.ne, map(ACCEPT.__eq__, kinds), wants)
+        else:  # the verdict a member or a non-member must get
+            bad = map(operator.ne, kinds, map((REJECT, ACCEPT).__getitem__, wants))
+        mismatches += itertools.compress(zip(words, kinds, wants), bad)
+        checked += len(words)
     return VerifyReport(
         automaton=automaton.name,
         oracle=getattr(oracle, "__name__", "oracle"),

@@ -11,10 +11,11 @@ accepting or uniformly rejecting configuration fixes the verdict.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import operator
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Optional
 
@@ -95,9 +96,10 @@ class Automaton:
     ``kernel``, optional, runs the machine without calling its rule or faces:
     ``kernel(words)`` takes a list of checked inputs (strings or tuples of
     one-character symbols) and returns one run of them side by side, each
-    word evolving as it would alone.  The run has ``start``, its step-0
-    configuration, ``step(config)``, ``ends``, the words' bit positions in
-    ascending order, and ``spacers``, those bits as one int.
+    word evolving as it would alone.  The run lays the words out in the
+    given order, each word's cells followed by one spacer bit that is the
+    word's verdict bit, and has ``start``, its step-0 configuration,
+    ``step(config)`` and ``spacers``, the spacer bits as one int.
     ``finality(config, want_reject)`` gives two ints, the bits of the words
     that accept and of those that reject (as :func:`classify` judges each
     word's cells), and, on a machine with a doomed face, ``doomed(config)``
@@ -418,6 +420,10 @@ class _Memo(dict):
         return rid
 
 
+# Digits "0" and "1" to bytes 0 and 1, which ``itertools.compress`` reads as
+# false and true.
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
 # A runner's finality answers, built once: a run asks after every step.
 _ACCEPTED, _REJECTED, _OPEN = (True, False), (False, True), (False, False)
 
@@ -477,6 +483,18 @@ def _runner_for(automaton: Automaton) -> _Runner:
     return automaton._runner
 
 
+def _budget(automaton: Automaton, n: int, max_steps: Optional[int]) -> int:
+    """The step budget of a run on a word of ``n`` symbols: ``max_steps``, or
+    the length's default widened to the machine's time bound."""
+    if max_steps is None:
+        max_steps = default_max_steps(n)
+        if automaton.time_bound is not None:
+            max_steps = max(max_steps, automaton.time_bound + 1)
+    elif max_steps < 0:
+        raise ParameterError(f"max_steps must be >= 0, not {max_steps}")
+    return max_steps
+
+
 def _checked(
     automaton: Automaton, word: Iterable[str], max_steps: Optional[int]
 ) -> tuple[Any, int]:
@@ -484,13 +502,7 @@ def _checked(
     symbols = _symbols(automaton, word)
     if not symbols:
         raise EmptyInputError(f"{automaton.name}: no run on the empty word")
-    if max_steps is None:
-        max_steps = default_max_steps(len(symbols))
-        if automaton.time_bound is not None:
-            max_steps = max(max_steps, automaton.time_bound + 1)
-    elif max_steps < 0:
-        raise ParameterError(f"max_steps must be >= 0, not {max_steps}")
-    return symbols, max_steps
+    return symbols, _budget(automaton, len(symbols), max_steps)
 
 
 def _start(
@@ -607,49 +619,68 @@ def run_many(
     word's, which pins the word to a cycle of configurations already found
     not final, so each is a timeout, as its single run would be.  Other
     machines run word by word.
+
+    The run lays the words out by length, shortest first and in the given
+    order within a length, so each length's words are one span of bits:
+    word j of a span of n-symbol words has its spacer at the span's first
+    spacer plus j * (n + 1).  A budget depends only on the length and
+    grows with it, so a span's words expire together, and an event's words
+    are one strided slice of its bits per span.
     """
     want_reject = automaton.is_decider
-    # A string is already the tuple of its one-character symbols; keeping it
-    # saves a tuple per word.
-    inputs = [word if isinstance(word, str) else tuple(word) for word in words]
-    symbols = itertools.chain.from_iterable(inputs)
-    if not all(inputs) or not automaton.alphabet_set.issuperset(symbols):
+    inputs = list(words)
+    try:
+        joined = "".join(inputs)
+    except TypeError:  # some words are sequences of symbols
+        inputs = [word if isinstance(word, str) else tuple(word) for word in inputs]
+        clean = automaton.alphabet_set.issuperset(itertools.chain.from_iterable(inputs))
+    else:  # plain strings, the usual case: deleting every symbol leaves nothing
+        clean = not joined.translate(
+            dict.fromkeys(ord(s) for s in automaton.input_alphabet if len(s) == 1))
+    lengths = list(map(len, inputs))
+    ordered = sorted(lengths)
+    if not clean or (ordered and not ordered[0]):
         for word in inputs:
             _checked(automaton, word, max_steps)  # raises at the first bad word
-    # A budget depends only on the word's length: check one word per length.
-    by_length = {len(word): word for word in inputs}
-    budget_of = {n: _checked(automaton, word, max_steps)[1] for n, word in by_length.items()}
-    budgets = list(map(budget_of.__getitem__, map(len, inputs)))
     if automaton.kernel is None or not inputs:
-        verdicts = (_run(automaton, s, b, False, want_reject) for s, b in zip(inputs, budgets))
+        verdicts = (_run(automaton, word, max_steps, False, want_reject) for word in inputs)
         return [(v.kind, v.steps) for v in verdicts]
-    # The run lays the words out by budget, so each budget's words are one
-    # span of bits, cleared at once when the budget runs out.
-    order = sorted(range(len(inputs)), key=budgets.__getitem__)
-    run = automaton.kernel(list(map(inputs.__getitem__, order)))
-    ends = run.ends
-    expiring, low, count = {}, 0, 0
-    for budget, words_of in sorted(Counter(budgets).items()):
-        count += words_of
-        high = ends[count - 1] + 1
-        expiring[budget] = (1 << high) - (1 << low)
-        low = high
-    # An event's word indices: its bits as one digit string (bit 0 last),
-    # cut at the spacers, in the run's word order.
-    digits = f"0{low}b"
-    at_spacers = operator.itemgetter(*map((low - 1).__sub__, ends))
+    if ordered == lengths:
+        order, batch = list(range(len(inputs))), inputs
+    else:
+        order = sorted(range(len(inputs)), key=lengths.__getitem__)
+        batch = list(map(inputs.__getitem__, order))
+    # A span's bits, ``low`` to ``high``, leave the run when its budget runs
+    # out.  In an event's bits as one digit string (bit 0 last), its spacers
+    # are one strided slice, in word order.
+    width = sum(ordered) + len(ordered)
+    reads, expiring = [], {}
+    first = low = 0
+    while first < len(ordered):
+        n = ordered[first]
+        count = bisect.bisect_right(ordered, n, first) - first
+        high = low + count * (n + 1)
+        budget = _budget(automaton, n, max_steps)
+        expiring[budget] = expiring.get(budget, 0) | (1 << high) - (1 << low)
+        spacers = slice(width - 1 - low - n, width - 1 - high if high < width else None, -n - 1)
+        reads.append((order[first : first + count], spacers))
+        first, low = first + count, high
+    digits = f"0{width}b"
+    run = automaton.kernel(batch)
     open_ = run.spacers
     doom = not want_reject and automaton.doomed is not None
     results: list = [(TIMEOUT, None)] * len(inputs)
-    for steps, config in enumerate(_evolve(run, run.start, max(budgets), anchored=True)):
+    for steps, config in enumerate(_evolve(run, run.start, max(expiring), anchored=True)):
         accepted, rejected = run.finality(config, want_reject)
         for kind, bits in ((ACCEPT, accepted & open_), (REJECT, rejected & open_)):
             if bits:
                 open_ ^= bits
-                outcome = kind, steps
-                flags = at_spacers(format(bits, digits))
-                for j in itertools.compress(order, map("1".__eq__, flags)):
-                    results[j] = outcome
+                text, outcome = format(bits, digits), itertools.repeat((kind, steps))
+                for indices, spacers in reads:
+                    flags = text[spacers]
+                    if "1" in flags:
+                        hits = itertools.compress(indices, flags.encode().translate(_BITS))
+                        deque(map(results.__setitem__, hits, outcome), 0)
         if doom and not steps & (steps - 1):
             open_ &= ~run.doomed(config)
         open_ &= ~expiring.get(steps, 0)

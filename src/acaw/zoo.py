@@ -165,13 +165,13 @@ def generate_idmat(k: int) -> str:
 
 
 def is_member_idmat(word: str) -> bool:
-    blocks = word.split("#")
-    k = len(blocks)
-    # Each block's length is checked first: building the k rows of length k
-    # would take quadratic time and memory on a word of many short blocks.
-    if any(len(block) != k for block in blocks):
+    k = word.count("#") + 1
+    # The length is checked first, before any split: the only member with k
+    # blocks has k^2 + k - 1 symbols, so building it costs no more than the
+    # word, even one of many short blocks.
+    if len(word) != k * k + k - 1:
         return False
-    return blocks == _unit_row_blocks(k)
+    return word.split("#") == _unit_row_blocks(k)
 
 
 def generate_zeros(k: int) -> str:

@@ -39,6 +39,7 @@ from acaw import (
     prefix_of,
     run_acceptor,
     run_decider,
+    run_many,
     scanner_accepts,
     suffix_of,
     verify_equivalence,
@@ -110,26 +111,31 @@ def test_criterion_1_reference_traces_bit_exact():
 
 @criterion(2)
 def test_criterion_2_exhaustive_zoo_soundness():
+    """Every zoo machine on every short word, each machine's words as one
+    batch (``run_many``); ``tests/test_core.py`` ties batches to single runs."""
     start = time.monotonic()
     pair = zoo_automaton("pair01")
     zeros = zoo_automaton("zeros")
     someone = zoo_automaton("someone", decider=True)
-    for w in words("01", 12):
-        assert (run_acceptor(pair, w).kind == ACCEPT) == is_pair01(w), w
-        assert (run_acceptor(zeros, w).kind == ACCEPT) == (set(w) == {"0"}), w
-        verdict = run_decider(someone, w)
-        assert verdict.kind != TIMEOUT, w
-        assert (verdict.kind == ACCEPT) == ("1" in w), w
+    binary = list(words("01", 12))
+    kinds = [[kind for kind, _ in run_many(m, binary)] for m in (pair, zeros, someone)]
+    for w, pair_kind, zeros_kind, someone_kind in zip(binary, *kinds):
+        assert (pair_kind == ACCEPT) == is_pair01(w), w
+        assert (zeros_kind == ACCEPT) == (set(w) == {"0"}), w
+        assert someone_kind != TIMEOUT, w
+        assert (someone_kind == ACCEPT) == ("1" in w), w
     idmat_acc = zoo_automaton("idmat")
     idmat_dec = zoo_automaton("idmat", decider=True)
     bin_acc = zoo_automaton("bin")
-    for w in words("01#", 11):
+    ternary = list(words("01#", 11))
+    kinds = [[kind for kind, _ in run_many(m, ternary)] for m in (idmat_acc, idmat_dec, bin_acc)]
+    for w, acc_kind, dec_kind, bin_kind in zip(ternary, *kinds):
         member = is_member_idmat(w)
-        assert (run_acceptor(idmat_acc, w).kind == ACCEPT) == member, w
-        verdict = run_decider(idmat_dec, w)
-        assert verdict.kind != TIMEOUT, w
-        assert (verdict.kind == ACCEPT) == member, w
-        assert (run_acceptor(bin_acc, w).kind == ACCEPT) == is_member_bin(w), w
+        assert (acc_kind == ACCEPT) == member, w
+        assert dec_kind != TIMEOUT, w
+        assert (dec_kind == ACCEPT) == member, w
+        assert (bin_kind == ACCEPT) == is_member_bin(w), w
+    assert len(binary) == 8_190 and len(ternary) == 265_719
     assert time.monotonic() - start < 300
 
 

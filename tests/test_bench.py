@@ -1,5 +1,7 @@
 """Timing curves, bound fitting, CSV serialization, equivalence checking."""
 
+import dataclasses
+import itertools
 import math
 
 import pytest
@@ -15,10 +17,13 @@ from acaw import (
     fit_bound,
     measure_time_curve,
     read_rows,
+    run_acceptor,
+    run_decider,
     verify_equivalence,
     write_rows,
     zoo_automaton,
 )
+from acaw import bench, zoo
 
 
 def test_csv_round_trip(tmp_path):
@@ -161,3 +166,31 @@ def test_verify_equivalence_errors():
         verify_equivalence(acc, lambda w: True, 0)
     with pytest.raises(ParameterError):
         verify_equivalence(acc, lambda w: True, 3, mode="oracle")
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+def test_verify_equivalence_reports_a_word_by_word_loops_mismatches(kernel, monkeypatch):
+    """A wrong pairing, the zeros machine against the someone oracle, gives
+    the mismatches of a word-by-word loop in the same order, with or
+    without a kernel, when one length spans several chunks."""
+    monkeypatch.setattr(bench, "VERIFY_CHUNK", 7)
+    machine = zoo_automaton("zeros")
+    if not kernel:
+        machine = dataclasses.replace(machine, kernel=None)
+    oracle = zoo.is_member_someone
+    words = ["".join(w) for n in range(1, 9) for w in itertools.product("01", repeat=n)]
+    want = []
+    for word in words:
+        kind = run_acceptor(machine, word).kind
+        if (kind == ACCEPT) != oracle(word):
+            want.append((word, kind, oracle(word)))
+    report = verify_equivalence(machine, oracle, 8)
+    assert report.words_checked == len(words)
+    assert report.mismatches == want
+    assert len(want) > 100
+    decider = zoo_automaton("someone", decider=True)
+    if not kernel:
+        decider = dataclasses.replace(decider, kernel=None)
+    flipped = lambda w: "1" not in w
+    want = [(w, run_decider(decider, w).kind, flipped(w)) for w in words]
+    assert verify_equivalence(decider, flipped, 8, mode="decider").mismatches == want

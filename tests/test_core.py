@@ -697,6 +697,45 @@ def test_run_many_checks_every_word_before_stepping(name, decider, monkeypatch):
     assert steps == []
 
 
+SPAN_MACHINES = [("idmat", False), ("idmat", True), ("bin", False), ("pair01", False),
+                 ("someone", True)]
+
+
+@pytest.mark.parametrize("name, decider", SPAN_MACHINES)
+@pytest.mark.parametrize("max_steps", [None, 0, 1, 20])
+def test_run_many_span_layout_matches_single_runs(name, decider, max_steps):
+    """Shuffled mixed lengths with tuple words among them, one length, and
+    one word each give every word its single run's verdict and steps."""
+    machine = zoo_automaton(name, decider=decider)
+    alphabet = "".join(machine.input_alphabet)
+    rng = random.Random(2201)
+    mixed = ["".join(rng.choices(alphabet, k=rng.randint(1, 30))) for _ in range(200)]
+    mixed += [tuple(word) for word in mixed[:20]] + [list(mixed[20])]
+    rng.shuffle(mixed)
+    one_length = ["".join(w) for w in itertools.product(alphabet, repeat=5)]
+    for words in (mixed, one_length, one_length[::-1], [mixed[0]], [one_length[-1]]):
+        assert run_many(machine, words, max_steps) == single_runs(machine, words, max_steps)
+
+
+@pytest.mark.parametrize("name, decider", SPAN_MACHINES)
+def test_run_many_checks_every_span_before_stepping(name, decider, monkeypatch):
+    """A bad symbol or an empty word in any span, a later span than the
+    first word's included, raises before any kernel or memo step."""
+    machine = zoo_automaton(name, decider=decider)
+    steps = []
+    for stepper in (_blockca._BlockPlanes, rulefile._TablePlanes, core._Runner):
+        step = stepper.step
+        monkeypatch.setattr(stepper, "step", lambda self, config, step=step:
+                            steps.append(config) or step(self, config))
+    words = ["0" * n for n in (7, 3, 9, 1, 3, 12)]
+    for at in range(len(words)):
+        for bad, error in (("", EmptyInputError), (words[at][:-1] + "x", AlphabetError),
+                           (tuple(words[at][:-1]) + ("x",), AlphabetError)):
+            with pytest.raises(error):
+                run_many(machine, words[:at] + [bad] + words[at + 1 :])
+    assert steps == []
+
+
 def test_run_many_stops_on_a_repeat_of_the_whole_run(monkeypatch):
     """These bin words never get a doomed cell and each settles into a fixed
     point, so the run stops when its whole configuration repeats, long

@@ -227,6 +227,20 @@ def test_idmat_membership_is_linear_on_many_short_blocks():
     assert not is_member_idmat("10#01#")
 
 
+def test_idmat_membership_matches_its_block_definition():
+    """The length pre-check changes no answer: on every ternary word of
+    length <= 9 the oracle agrees with the definition by blocks."""
+    def by_blocks(word):
+        blocks = word.split("#")
+        k = len(blocks)
+        return all(len(block) == k for block in blocks) and blocks == [
+            "0" * i + "1" + "0" * (k - 1 - i) for i in range(k)]
+
+    words = ["".join(w) for n in range(10) for w in itertools.product("01#", repeat=n)]
+    assert [w for w in words if is_member_idmat(w)] == [w for w in words if by_blocks(w)]
+    assert sum(map(is_member_idmat, words)) == 2  # k = 1 and k = 2; k = 3 has 11 symbols
+
+
 def test_generated_lengths():
     for k in range(1, 10):
         assert len(generate_bin(k)) == (k + 1) * 2**k - 1
