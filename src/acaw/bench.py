@@ -217,21 +217,23 @@ class VerifyReport:
         return not self.mismatches
 
 
-# The most words one run_many call of verify_equivalence takes: a chunk
-# holds words of one length, so a machine without a kernel, which runs word
-# by word, keeps only a chunk's verdicts at a time.
+# The most words one run_many call of verify_equivalence takes, so a run
+# keeps only a chunk's verdicts at a time.  A chunk may hold words of several
+# consecutive lengths, so short words step in one run with longer ones.
 VERIFY_CHUNK = 4096
 
 
 def _lex_chunks(alphabet: tuple, max_len: int) -> Iterator[list[str]]:
-    """The words of lengths 1 to ``max_len`` in lexicographic order, in
-    chunks of one length and at most :data:`VERIFY_CHUNK` words."""
+    """The words of lengths 1 to ``max_len``, shortest first and each length
+    in lexicographic order, in chunks of :data:`VERIFY_CHUNK` words (the
+    last may be shorter)."""
     symbols = sorted(alphabet)
-    frontier = [""]
-    for _ in range(max_len):
-        frontier = [w + s for w in frontier for s in symbols]
-        for start in range(0, len(frontier), VERIFY_CHUNK):
-            yield frontier[start : start + VERIFY_CHUNK]
+    frontiers = itertools.accumulate(  # one list of words per length
+        range(1, max_len), lambda words, _: [w + s for w in words for s in symbols],
+        initial=symbols)
+    words = itertools.chain.from_iterable(frontiers)
+    while chunk := list(itertools.islice(words, VERIFY_CHUNK)):
+        yield chunk
 
 
 def verify_equivalence(
@@ -248,9 +250,9 @@ def verify_equivalence(
     matching verdict on every word and treats any timeout as a mismatch,
     since a decider must always answer.  Mismatches come in word order.
 
-    The words run through :func:`run_many`, one chunk of one length at a
-    time (see :data:`VERIFY_CHUNK`); a machine with a kernel steps each
-    chunk as one run.  Each chunk is scored by C-level maps over its
+    The words run through :func:`run_many`, one chunk at a time (see
+    :data:`VERIFY_CHUNK`); a machine with a kernel steps each chunk as one
+    run.  Each chunk is scored by C-level maps over its
     verdict kinds and oracle bits, so only the oracle runs Python per word.
     """
     if max_len < 1:

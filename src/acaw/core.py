@@ -30,9 +30,6 @@ def default_max_steps(n: int) -> int:
     return 4 * n + 16
 
 
-_CYCLE_WINDOW = 16
-
-
 class AcawError(Exception):
     """Base class for errors raised by this package."""
 
@@ -111,8 +108,10 @@ class Automaton:
     ``leftmost_open(config)``, its leftmost cell that does not accept and
     leftmost that does not reject (None where every cell does).
     Configurations are any values that are equal exactly when their cells'
-    states are.  Untraced runs only compare them with ``==``; traced runs
-    and :func:`configurations` also hash them, so they must be hashable.
+    states are.  Untraced runs and :func:`run_many` only compare them with
+    ``==`` and keep one; traced runs, :func:`configurations` and
+    :func:`leftmost_open` hash each once and keep them all until the run
+    ends, so they must be hashable.
     A single run is the one-word case;
     :func:`run_many` steps many words as one run.  The run helpers and
     :func:`configurations` step on the kernel; :func:`global_step`,
@@ -222,7 +221,7 @@ def _symbols(automaton: Automaton, word: Iterable[str]) -> Any:
 
 def global_step(automaton: Automaton, config: tuple) -> tuple:
     """Apply the local rule once to every active cell."""
-    runner = _runner_for(automaton)
+    runner = automaton._runner
     return runner.states(runner.step(tuple(map(runner.intern, config))))
 
 
@@ -234,7 +233,7 @@ def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
     Disjointness of the accept and reject sets makes the order immaterial
     for non-empty windows.
     """
-    runner = _runner_for(automaton)
+    runner = automaton._runner
     accepted, rejected = runner.finality(tuple(map(runner.intern, config)), automaton.is_decider)
     return ACCEPT if accepted else REJECT if rejected else None
 
@@ -242,7 +241,7 @@ def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
 def face_bits(automaton: Automaton, states: Iterable[Any]) -> tuple[list, list]:
     """The states' accept bits and reject bits (all False for an acceptor), as
     two lists read from the interner, so each state's faces run only once."""
-    runner = _runner_for(automaton)
+    runner = automaton._runner
     ids = list(map(runner.intern, states))
     return list(map(runner.acc.__getitem__, ids)), list(map(runner.rej.__getitem__, ids))
 
@@ -257,7 +256,7 @@ def configurations(
     deterministic repeat can never reach a configuration not already seen.
     """
     stepper, config, max_steps = _start(automaton, word, max_steps)
-    for config in _evolve(stepper, config, max_steps):
+    for config in _evolve(stepper, config, max_steps, {}):
         yield stepper.states(config)
 
 
@@ -273,14 +272,13 @@ def leftmost_open(
     kernel's planes or the rule memo's interner, and decodes no state.
     """
     stepper, config, steps = _start(automaton, word, steps)
-    history, opens = [], []
-    for config in _evolve(stepper, config, steps):
+    history, opens = {}, []
+    for config in _evolve(stepper, config, steps, history):
         opens.append(stepper.leftmost_open(config))
         if None in opens[-1]:
             return opens
-        history.append(config)
     if len(opens) <= steps:  # the run cycled: the orbit goes on from the repeat
-        cycle = opens[history.index(stepper.step(history[-1])) :]
+        cycle = opens[history[stepper.step(config)] :]
         opens += cycle * ((steps + 1 - len(opens)) // len(cycle) + 1)
     return opens[: steps + 1]
 
@@ -314,7 +312,7 @@ def validate(automaton: Automaton) -> Iterator[tuple[tuple, Any]]:
     if automaton.is_decider and not any(rejects):
         raise AlphabetError(f"{automaton.name}: no listed state rejects")
     flanks = states + (INACTIVE,)
-    outputs = _runner_for(automaton).outputs(itertools.product(flanks, states, flanks))
+    outputs = automaton._runner.outputs(itertools.product(flanks, states, flanks))
     pairs = zip(itertools.product(flanks, states, flanks), outputs)
     if not state_set.issuperset(outputs):
         (z1, z2, z3), out = next(pair for pair in pairs if pair[1] not in state_set)
@@ -339,9 +337,10 @@ def observe(
     The words of one length step together, as one configuration with a
     border cell between neighbours.  The border never changes, so each word
     evolves as it would alone.  Raises :class:`ParameterError` when some word
-    does not reach a fixed point within ``max_steps`` steps.
+    does not reach a fixed point within ``max_steps`` steps, naming the
+    cycle when the words of one length repeat a configuration.
     """
-    runner = _runner_for(automaton)
+    runner = automaton._runner
     groups: dict[int, list] = {}  # length -> the words' cells, borders between
     placed = []  # per word: its length and its first cell in that group
     for word in words:
@@ -354,19 +353,20 @@ def observe(
     histories = {}
     triples: set = set()
     for length, cells in groups.items():
-        history = []
-        for config in _evolve(runner, tuple(cells[:-1]), max_steps):
+        history: dict = {}  # configuration -> its step
+        for config in _evolve(runner, tuple(cells[:-1]), max_steps, history):
             # Before the next step, memoize each border cell between words
             # as staying the border, so the rule never sees a border centre.
             ends, starts = config[length - 1 :: length + 1], config[length + 1 :: length + 1]
             runner.table.update(dict.fromkeys(zip(ends, itertools.repeat(0), starts), 0))
-            history.append(config)
-        last = history[-1]
-        if len(history) > max_steps or runner.step(last) != last:
-            raise ParameterError(
-                f"{automaton.name}: no fixed point within {max_steps} steps;"
-                " not tabulatable"
-            )
+        # Within the budget, the run stopped before repeating step ``repeat``.
+        repeat = history[runner.step(config)] if len(history) <= max_steps else None
+        if repeat != len(history) - 1:  # the last configuration is no fixed point
+            cycle = "" if repeat is None else (
+                f": length-{length} probes repeat with period {len(history) - repeat}"
+                f" from step {repeat}")
+            raise ParameterError(f"{automaton.name}: no fixed point within {max_steps}"
+                                 f" steps; not tabulatable{cycle}")
         for config in history:
             triples.update(zip((0,) + config, config, config[1:] + (0,)))
         histories[length] = history
@@ -479,10 +479,6 @@ class _Runner:
         return tuple(map(self.objs.__getitem__, config))
 
 
-def _runner_for(automaton: Automaton) -> _Runner:
-    return automaton._runner
-
-
 def _budget(automaton: Automaton, n: int, max_steps: Optional[int]) -> int:
     """The step budget of a run on a word of ``n`` symbols: ``max_steps``, or
     the length's default widened to the machine's time bound."""
@@ -514,53 +510,47 @@ def _start(
     if automaton.kernel is not None:
         run = automaton.kernel([symbols])
         return run, run.start, max_steps
-    runner = _runner_for(automaton)
+    runner = automaton._runner
     return runner, tuple(map(runner.intern, symbols)), max_steps
 
 
-def _evolve(stepper: Any, config: Any, max_steps: int, anchored: bool = False) -> Iterator[Any]:
+def _evolve(
+    stepper: Any, config: Any, max_steps: int, history: Optional[dict] = None
+) -> Iterator[Any]:
     """Yield ``config``, then one configuration per step for ``max_steps`` steps.
 
     The engine's only stepping loop and its cycle check, for a runner or a
     kernel's run.  Each configuration is its own cycle key, and the loop
     stops early, before a configuration that repeats an earlier one: the
     evolution is deterministic, so a repeat can never lead anywhere new.
-    Two rules find repeats.
+    Whether the caller keeps ``history`` picks the rule that finds repeats.
 
-    * The window rule (the default) compares each configuration with the
-      last ``_CYCLE_WINDOW``, so it stops at the first repeat of a cycle
-      whose period is at most the window's length and misses longer ones.
-      Each configuration is hashed once, and compared only with those of
-      the window whose hash it shares.  Traced runs, :func:`configurations`,
-      :func:`leftmost_open` and :func:`observe` use it, so what they show of
-      a short cycle ends at its first repeat, as it always has.
-    * The anchor rule (``anchored``, after Brent 1980) compares each
+    * With a dict, the loop stores each configuration it yields under its
+      step, hashing each once, and stops before the first repeat: on an
+      evolution with a tail of length mu and a period of lambda, before step
+      mu + lambda, whatever the period.  On return the dict maps every
+      yielded configuration to its step.  Traced runs,
+      :func:`configurations`, :func:`leftmost_open` and :func:`observe` use it.
+    * Without, the anchor rule (after Brent 1980) compares each
       configuration with one saved anchor, re-saved at steps 1, 2, 4, 8, ...
-      It hashes nothing and catches any period.  An evolution with a tail of
-      length mu and a period of lambda stops by step
+      It hashes nothing and keeps nothing.  The same evolution stops by step
       2 * max(mu, lambda) + lambda, or at the budget: the first anchor saved
       at step 2^k >= max(mu, lambda) lies on the cycle and is met again
       lambda steps later, before the next re-save.
     """
     yield config
-    if anchored:
-        anchor, due = config, 1
-    else:
-        recent: deque = deque((config,), maxlen=_CYCLE_WINDOW)
-        hashes: deque = deque((hash(config),), maxlen=_CYCLE_WINDOW)
+    if history is not None:
+        history[config] = 0
+    anchor, due = config, 1
     for steps in range(1, max_steps + 1):
         config = stepper.step(config)
-        if anchored:
-            if config == anchor:
+        if history is not None:
+            if history.setdefault(config, steps) != steps:
                 return
-            if steps == due:
-                anchor, due = config, 2 * due
-        else:
-            key = hash(config)
-            if key in hashes and config in recent:
-                return
-            recent.append(config)
-            hashes.append(key)
+        elif config == anchor:
+            return
+        elif steps == due:
+            anchor, due = config, 2 * due
         yield config
 
 
@@ -574,12 +564,13 @@ def _run(
     """One run, stopped at its first final configuration, a repeat or the
     budget, and on an untraced acceptor run also at a doomed cell.
 
-    A traced run finds repeats by :func:`_evolve`'s window rule, so its
-    trace ends where it always has; an untraced run by the anchor rule,
-    which hashes nothing and catches any period.  The two stop a cycling
-    run at different steps, but never give a different verdict or step
-    count: either stops only at a configuration equal to an earlier one,
-    from where the run goes round configurations already found not final.
+    A traced run keeps every configuration, so it finds repeats by
+    :func:`_evolve`'s exact history and its trace ends just before the first
+    repeat; an untraced run by the anchor rule, which hashes and keeps
+    nothing.  Both catch any period.  They stop a cycling run at different
+    steps, but never give a different verdict or step count: either stops
+    only at a configuration equal to an earlier one, from where the run goes
+    round configurations already found not final.
     """
     stepper, config, max_steps = _start(automaton, word, max_steps)
     raw_configs = []
@@ -587,7 +578,8 @@ def _run(
     # a hopeless run at most twice as late, with no scan at every step.
     doom = not (collect_trace or want_reject) and automaton.doomed is not None
     outcome, at = TIMEOUT, None
-    for steps, config in enumerate(_evolve(stepper, config, max_steps, not collect_trace)):
+    history = {} if collect_trace else None  # a trace keeps every configuration anyway
+    for steps, config in enumerate(_evolve(stepper, config, max_steps, history)):
         if collect_trace:
             raw_configs.append(stepper.states(config))
         accepted, rejected = stepper.finality(config, want_reject)
@@ -670,7 +662,7 @@ def run_many(
     open_ = run.spacers
     doom = not want_reject and automaton.doomed is not None
     results: list = [(TIMEOUT, None)] * len(inputs)
-    for steps, config in enumerate(_evolve(run, run.start, max(expiring), anchored=True)):
+    for steps, config in enumerate(_evolve(run, run.start, max(expiring))):
         accepted, rejected = run.finality(config, want_reject)
         for kind, bits in ((ACCEPT, accepted & open_), (REJECT, rejected & open_)):
             if bits:

@@ -179,6 +179,10 @@ def generate_zeros(k: int) -> str:
     return "0" * k
 
 
+def is_member_pair01(word: str) -> bool:
+    return len(word) >= 2 and word == "01" * (len(word) // 2)
+
+
 def is_member_zeros(word: str) -> bool:
     return bool(word) and set(word) == {"0"}
 
@@ -276,7 +280,7 @@ FAMILIES: dict[str, WordFamily] = {
 
 # Ground-truth membership predicates for `verify`, by oracle name.
 ORACLES: dict[str, Callable[[str], bool]] = {
-    "pair01": lambda w: len(w) >= 2 and w == "01" * (len(w) // 2),
+    "pair01": is_member_pair01,
     "zeros": is_member_zeros,
     "someone": is_member_someone,
     "bin": is_member_bin,

@@ -168,11 +168,27 @@ def test_verify_equivalence_errors():
         verify_equivalence(acc, lambda w: True, 3, mode="oracle")
 
 
+def test_verify_equivalence_names_the_pair01_oracle():
+    report = verify_equivalence(zoo_automaton("pair01"), zoo.ORACLES["pair01"], 8)
+    assert report.ok and report.oracle == "is_member_pair01"
+
+
+def test_lex_chunks_pack_consecutive_lengths(monkeypatch):
+    """Chunks are full but for the last, and short words share one with
+    longer ones, in length and then lexicographic order."""
+    monkeypatch.setattr(bench, "VERIFY_CHUNK", 5)
+    chunks = list(bench._lex_chunks(("1", "0"), 3))
+    assert list(map(len, chunks)) == [5, 5, 4]
+    words = ["".join(w) for n in range(1, 4) for w in itertools.product("01", repeat=n)]
+    assert list(itertools.chain.from_iterable(chunks)) == words
+
+
 @pytest.mark.parametrize("kernel", [True, False])
 def test_verify_equivalence_reports_a_word_by_word_loops_mismatches(kernel, monkeypatch):
     """A wrong pairing, the zeros machine against the someone oracle, gives
     the mismatches of a word-by-word loop in the same order, with or
-    without a kernel, when one length spans several chunks."""
+    without a kernel, when one length spans several chunks and one chunk
+    several lengths."""
     monkeypatch.setattr(bench, "VERIFY_CHUNK", 7)
     machine = zoo_automaton("zeros")
     if not kernel:

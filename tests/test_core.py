@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import pathlib
 import random
 import weakref
 
@@ -36,7 +37,7 @@ from acaw import (
     validate,
 )
 from acaw import _blockca, core, rulefile, zoo_automaton
-from acaw.core import _CYCLE_WINDOW, _evolve
+from acaw.core import _evolve
 
 
 def shift_right_rule(left, center, right):
@@ -225,19 +226,20 @@ def colliding_orbit(tail, cycle):
     return type("Stepper", (), {"step": staticmethod(step)}), step
 
 
-@pytest.mark.parametrize(
-    "tail, cycle", [(0, 1), (3, 5), (2, _CYCLE_WINDOW), (4, _CYCLE_WINDOW + 1), (1, 40)]
-)
+@pytest.mark.parametrize("tail, cycle", [(0, 1), (3, 5), (2, 16), (4, 17), (1, 40)])
 def test_evolve_cuts_colliding_configurations_by_the_window_rule(tail, cycle):
-    """Equal hashes must not stop a run early: ``_evolve`` stops where the
-    window rule says, having hashed each configuration once."""
+    """Equal hashes must not stop a run early: with a history, ``_evolve``
+    stops just before the first repeat, whatever the period, having hashed
+    each configuration once and kept each under its step."""
     stepper, step = colliding_orbit(tail, cycle)
     want = [c.value for c in reference_orbit(step, Colliding(0), 100)]
     Colliding.hashes = 0
-    got = [c.value for c in _evolve(stepper, Colliding(0), 100)]
-    assert got == want
+    history: dict = {}
+    got = [c.value for c in _evolve(stepper, Colliding(0), 100, history)]
+    assert got == want == list(range(tail + cycle))
+    assert [(c.value, steps) for c, steps in history.items()] == list(zip(got, range(100)))
     # Every configuration stepped to is hashed once, the one cut off too.
-    assert Colliding.hashes == min(len(got) + 1, 101)
+    assert Colliding.hashes == len(got) + 1
 
 
 def anchor_stop_bound(tail, cycle):
@@ -246,8 +248,9 @@ def anchor_stop_bound(tail, cycle):
 
 def test_evolve_anchor_rule_stops_on_any_period():
     """On every orbit with a tail under 20 and a period under 45, the anchor
-    rule yields only the orbit, hashes nothing, and stops at a true repeat by
-    step 2 * max(tail, cycle) + cycle, or at the budget."""
+    rule (``_evolve`` given no history) yields only the orbit, hashes
+    nothing, and stops at a true repeat by step 2 * max(tail, cycle) + cycle,
+    or at the budget."""
     Colliding.hashes = 0
     for tail in range(20):
         for cycle in range(1, 45):
@@ -255,7 +258,7 @@ def test_evolve_anchor_rule_stops_on_any_period():
             orbit = [i if i < tail + cycle else tail + (i - tail) % cycle for i in range(200)]
             bound = anchor_stop_bound(tail, cycle)
             for budget in (0, bound - 1, bound, 150):
-                got = [c.value for c in _evolve(stepper, Colliding(0), budget, anchored=True)]
+                got = [c.value for c in _evolve(stepper, Colliding(0), budget)]
                 assert got == orbit[: len(got)], (tail, cycle, budget)
                 if len(got) <= budget:  # stopped before the budget: the next one repeats
                     assert orbit[len(got)] in got
@@ -265,40 +268,33 @@ def test_evolve_anchor_rule_stops_on_any_period():
     assert Colliding.hashes == 0
 
 
-# One signal that bounces between the borders: a cell takes the signal from
-# its neighbour and turns it around on reaching the last cell or the first,
-# so from ``r0...0`` the run repeats with period 2(n - 1).
-BOUNCE_TABLE = """\
-alphabet: 0 r
-states: 0 r l a
-accept: a
-rule: r 0 q -> l
-rule: r 0 * -> r
-rule: q 0 l -> r
-rule: * 0 l -> l
-rule: * r * -> 0
-rule: * l * -> 0
-default: center
-"""
+# One signal that bounces between the borders, with period 2(n - 1).
+BOUNCE_TABLE = (pathlib.Path(__file__).resolve().parent / "data" / "bounce.tbl").read_text()
 
 
 @pytest.mark.parametrize("kernel", [False, True], ids=["memo", "kernel"])
-@pytest.mark.parametrize("n", range(2, 15))
+@pytest.mark.parametrize("n", range(2, 41))
 def test_untraced_runs_catch_a_bouncing_signal_of_any_period(n, kernel, monkeypatch):
-    """Periods over 16 pass the window: the traced run, as the reference says,
-    runs its whole budget.  The untraced run stops before the budget,
-    by the anchor rule's bound, and both are timeouts."""
+    """Every period stops at its first repeat where the run keeps its
+    history: the traced run, :func:`configurations` and :func:`leftmost_open`
+    follow the reference orbit, which is one period long.  The untraced run
+    keeps one anchor and stops by the anchor rule's bound of three periods
+    or at the budget, whichever comes first; for n up to 17 that is before
+    the budget.  Both are timeouts."""
     machine = parse_rule_table(BOUNCE_TABLE, name="bounce")
     if kernel:
         machine = dataclasses.replace(machine, kernel=rulefile.table_kernel(machine))
     word = "r" + "0" * (n - 1)
     budget = default_max_steps(n)
-    traced = run_acceptor(machine, word, collect_trace=True)
-    assert (traced.kind, traced.steps, traced.trace.configurations) == reference_run(
-        machine, word, budget)
     period = 2 * (n - 1)
-    assert len(traced.trace.configurations) == (budget + 1 if period > _CYCLE_WINDOW
-                                                else period)
+    orbit = reference_orbit(functools.partial(reference_step, machine), tuple(word), budget)
+    assert len(orbit) == period  # the cycle starts at step 0
+    traced = run_acceptor(machine, word, collect_trace=True)
+    assert (traced.kind, traced.steps, traced.trace.configurations) == (
+        TIMEOUT, None, tuple(orbit))
+    assert list(configurations(machine, word)) == orbit
+    opens = [(next(i for i, s in enumerate(c) if s != "a"), 0) for c in orbit]
+    assert leftmost_open(machine, word, budget) == (opens * budget)[: budget + 1]
     steps = []
     stepper = rulefile._TablePlanes if kernel else core._Runner
     step = stepper.step
@@ -308,7 +304,8 @@ def test_untraced_runs_catch_a_bouncing_signal_of_any_period(n, kernel, monkeypa
         TIMEOUT, [(TIMEOUT, None)])
     single = len(steps) // 2
     assert steps[:single] == steps[single:]  # run_many stepped the same run
-    assert period <= single <= min(anchor_stop_bound(0, period), budget - 1)
+    assert period <= single <= min(anchor_stop_bound(0, period), budget)
+    assert single < budget or n > 17
 
 
 def test_default_budget_formula():
@@ -466,19 +463,19 @@ def reference_classify(automaton, config):
 
 
 def reference_orbit(step, start, max_steps):
-    """``start`` and one value of ``step`` per step, cut before a repeat of
-    any of the last ``_CYCLE_WINDOW`` values."""
+    """``start`` and one value of ``step`` per step, cut before the first
+    value that repeats an earlier one."""
     history = [start]
     for _ in range(max_steps):
         config = step(history[-1])
-        if config in history[-_CYCLE_WINDOW:]:
+        if config in history:
             break
         history.append(config)
     return history
 
 
 def reference_evolution(automaton, word, max_steps):
-    """Step 0 and one configuration per step, cut by the window rule."""
+    """Step 0 and one configuration per step, cut before the first repeat."""
     return reference_orbit(functools.partial(reference_step, automaton), tuple(word), max_steps)
 
 
@@ -558,7 +555,7 @@ def test_engine_matches_reference_stepper(data):
     expected = reference_run(machine, word, budget)
     assert (verdict.kind, verdict.steps, verdict.trace.configurations) == expected
     # Untraced runs stop on cycles by the anchor rule, at other steps than the
-    # window's, but every verdict and step count must be the reference's.
+    # history's, but every verdict and step count must be the reference's.
     on_planes = dataclasses.replace(machine, kernel=rulefile.table_kernel(machine))
     for each in (machine, on_planes):
         untraced = run(each, word, max_steps)

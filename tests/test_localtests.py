@@ -1,6 +1,7 @@
 """Scanners, boolean combinations, compilers, combinators, and the parsers."""
 
 import itertools
+import pathlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -48,6 +49,8 @@ from acaw.core import set_automaton
 from acaw.localtests import _TABULATE_STEP_CEILING
 
 BITS = ("0", "1")
+# A signal that bounces between the borders: from r0...0, period 2(n - 1).
+BOUNCE_TABLE = pathlib.Path(__file__).resolve().parent / "data" / "bounce.tbl"
 PAIR01 = Scanner(
     k=2, alphabet=BITS,
     pi=frozenset({"01"}), sigma=frozenset({"01"}), mu=frozenset({"01", "10"}),
@@ -717,6 +720,16 @@ def test_tabulate_refuses_a_cycle_when_the_cycle_check_sees_it(monkeypatch):
     ):
         tabulate_by_observation(blinker, probe_len=3)
     assert len(calls) < 100 and len(steps) < 100
+    # A period over 16 is refused at its first repeat too, and named.
+    steps.clear()
+    bounce = parse_rule_table(BOUNCE_TABLE.read_text(), name="bounce")
+    with pytest.raises(
+        ParameterError,
+        match=f"bounce: no fixed point within {_TABULATE_STEP_CEILING} steps; not tabulatable"
+        ": length-10 probes repeat with period 18 from step 0",
+    ):
+        core.observe(bounce, ["r000000000"], _TABULATE_STEP_CEILING)
+    assert len(steps) < 20
 
 
 def test_tabulate_keeps_the_rule_off_the_border_between_probe_words():

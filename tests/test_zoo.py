@@ -136,7 +136,7 @@ def test_doomed_face_is_successor_closed_on_reached_triples(family):
     for word in ternary_words(7):
         for config in run_acceptor(machine, word, collect_trace=True).trace.configurations:
             core.global_step(machine, config)
-    runner = core._runner_for(machine)
+    runner = machine._runner
     doom, acc = runner.doom, runner.acc
     assert not any(d and a for d, a in zip(doom, acc))
     doomed_centres = [(key, out) for key, out in runner.table.items() if doom[key[1]]]
@@ -282,10 +282,10 @@ def test_zoo_tables_share_their_parse_but_not_their_runner(name, decider):
     first, second = (zoo_automaton(name, decider=decider) for _ in range(2))
     assert first is not second
     assert (first.rule, first.kernel) == (second.rule, second.kernel)
-    assert core._runner_for(first) is not core._runner_for(second)
+    assert first._runner is not second._runner
     core.global_step(first, ("0", "1", "1"))
-    assert core._runner_for(first).table
-    assert not core._runner_for(second).table
+    assert first._runner.table
+    assert not second._runner.table
 
 
 def test_zoo_lookup_errors():
