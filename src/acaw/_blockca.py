@@ -62,8 +62,12 @@ value (ls ``0``/``1``/``#``, hold ``0``/``1``/``#``/``q``, rf
 par 1, fsm ``p`` and ones; ok; dead), and the remaining value (ls ``q``,
 hold and rf ``.``, no verifier, marker ``-``) is a cell with none of its
 field's bits set.  ``age`` and ``phase`` are the same in every cell, so
-they are two ints.  A step is about 150 big-int operations whatever the
-words' lengths.  Each word's verdicts are read at its spacer bit: every
+they are two ints.  Only the counter comparison changes a visit's fsm or
+ones flag, so the shift machines keep the fsm ``p`` plane clear and the
+ones plane equal to the presence plane, and step neither.  A step is 40 to
+99 big-int operations on the shift machines and 51 to 142 on the counter,
+whatever the words' lengths; the more while chains are still emitting or
+visits start.  Each word's verdicts are read at its spacer bit: every
 cell ok (accept), some clean marker on a 1 (no census rejection) and some
 doomed cell.  ``states`` decodes a one-word configuration to the same
 ``BCell`` tuples the rule builds, so traces are unchanged; ``_BlockRule``
@@ -306,8 +310,10 @@ class _BlockPlanes(SpacedWords):
     A configuration is a tuple of 21 planes (ls 0/1/#, hold 0/1/#/q, rf
     0/1/H/X, emit, verifier present/mode C/par 1/fsm p/ones, ok, dead,
     marker C/S) and then age and phase; equal states give equal
-    configurations.  The step-0 configuration is ``()``.  Each word's
-    verdict bit is its spacer's.
+    configurations.  A shift run's fsm-p plane stays 0 and its ones plane
+    equals the presence plane, as no shift visit leaves fsm ``e`` or clears
+    ones.  The step-0 configuration is ``()``.  Each word's verdict bit is
+    its spacer's.
     """
 
     def __init__(self, shift: bool, decider: bool, words: list):
@@ -363,37 +369,41 @@ class _BlockPlanes(SpacedWords):
         ls0, ls1, lsh = n0, n1, (lsh >> 1) & cells
         same = (s0 & rf0) | (s1 & rf1)  # cells whose symbol is the chain's value
 
-        # Visits at their par-1 step move right, out of block cells only.
+        # Visits at their par-1 step move right, out of block cells only.  Shift
+        # runs do not step the fsm-p and ones planes (see the class docstring).
+        shift = self.shift
         lv = (v1 & b) << 1  # par 1 implies a visit
-        lvc, lvp, lvo = (vc << 1) & lv, (vfp << 1) & lv, (vones << 1) & lv
+        lvc = (vc << 1) & lv
         undead = ~dead
-        if self.shift:
-            ok |= sh & lv & undead
-        else:
-            ok |= sh & lv & undead & (~lvc | lvp)
         live = b & undead
         visited = live & vp
         fresh = live ^ visited
         par0 = visited & ~v1
-        counter = 0 if self.shift else par0 & vc
-        moved = par0 ^ counter
-        nvp, nvc, nv1, nvfp, nvo = moved, vc & moved, moved, vfp & moved, vones & moved
-        if counter:
-            # The stream slot is the previous block's same-index bit.
-            unset = counter & ~vfp
-            carry = unset & s1 & rf0
-            passed = (unset & same) | carry | (counter & vfp & s0 & rf1)
-            dead |= counter ^ passed
-            fsm, ones = (vfp | carry) & passed, vones & s1 & passed
-            going = passed & ~lasts
-            done = passed & lasts
-            ok |= going | (done & fsm & ones)
-            dead |= done & ~(fsm & ones)
-            nvp |= going
-            nvc |= going
-            nv1 |= going
-            nvfp |= fsm & going
-            nvo |= ones & going
+        if shift:
+            ok |= sh & lv & undead
+            nvp, nvc, nv1 = par0, vc & par0, par0
+        else:
+            lvp, lvo = (vfp << 1) & lv, (vones << 1) & lv
+            ok |= sh & lv & undead & (~lvc | lvp)
+            counter = par0 & vc
+            moved = par0 ^ counter
+            nvp, nvc, nv1, nvfp, nvo = moved, vc & moved, moved, vfp & moved, vones & moved
+            if counter:
+                # The stream slot is the previous block's same-index bit.
+                unset = counter & ~vfp
+                carry = unset & s1 & rf0
+                passed = (unset & same) | carry | (counter & vfp & s0 & rf1)
+                dead |= counter ^ passed
+                fsm, ones = (vfp | carry) & passed, vones & s1 & passed
+                going = passed & ~lasts
+                done = passed & lasts
+                ok |= going | (done & fsm & ones)
+                dead |= done & ~(fsm & ones)
+                nvp |= going
+                nvc |= going
+                nv1 |= going
+                nvfp |= fsm & going
+                nvo |= ones & going
 
         # A visit starts from the left, at a word's first cell on step 1, or at
         # a block's first cell when the head arrives.
@@ -404,25 +414,26 @@ class _BlockPlanes(SpacedWords):
         if entering:
             mode_c = (from_left & lvc) | comparing
             mode_f = entering ^ mode_c
-            fsm, ones = from_left & lvp, (from_left & lvo) | first | comparing
-            if self.shift:
+            if shift:
                 passed = (mode_f & self.f_pass) | (mode_c & (self.lh0 | (self.not_lh & same)))
             else:
                 passed = (mode_f & s0) | mode_c
             dead |= entering ^ passed
             last = passed & lasts
             going = passed ^ last
-            if self.shift:
+            if shift:
                 ok |= going | (last & s1)
                 dead |= last & s0
             else:
                 ok |= going & mode_f
                 dead |= last & mode_f  # a single block: nothing to accept
                 going |= last & mode_c
+                nvfp |= going & from_left & lvp
+                nvo |= going & ((from_left & lvo) | first | comparing)
             nvp |= going
             nvc |= going & mode_c
-            nvfp |= going & fsm
-            nvo |= going & ones
+        if shift:
+            nvfp, nvo = 0, nvp
 
         if self.decider:
             phase = phase + 1 if phase < 5 else 0
@@ -447,7 +458,7 @@ class _BlockPlanes(SpacedWords):
         if not config:
             return 0, 0
         if config[-1] != 1 or not self.decider:
-            return self.every(config[_OK]), 0
+            return (config[_OK] + self.firsts) & self.spacers, 0  # self.every, inlined
         if want_reject:
             return 0, self.spacers ^ self.some(config[_MC] & self.s1)
         return 0, 0

@@ -144,6 +144,13 @@ class Automaton:
         return frozenset(self.input_alphabet)
 
     @functools.cached_property
+    def alphabet_deletions(self) -> dict:
+        """A ``str.translate`` table that deletes every one-character input
+        symbol, so a string word is in the alphabet exactly when it
+        translates to ``''``."""
+        return dict.fromkeys(ord(s) for s in self.input_alphabet if len(s) == 1)
+
+    @functools.cached_property
     def _runner(self) -> "_Runner":
         """The machine's rule memo and interner, built on first use."""
         return _Runner(self)
@@ -211,10 +218,13 @@ def _symbols(automaton: Automaton, word: Iterable[str]) -> Any:
     """The word's symbols, checked against the alphabet: a string stays a
     string, whose characters are its symbols, and any other word becomes a
     tuple."""
-    symbols = word if isinstance(word, str) else tuple(word)
-    alphabet = automaton.alphabet_set
-    if not alphabet.issuperset(symbols):
-        bad = next(s for s in symbols if s not in alphabet)
+    if isinstance(word, str):
+        symbols, clean = word, not word.translate(automaton.alphabet_deletions)
+    else:
+        symbols = tuple(word)
+        clean = automaton.alphabet_set.issuperset(symbols)
+    if not clean:
+        bad = next(s for s in symbols if s not in automaton.alphabet_set)
         raise AlphabetError(f"{automaton.name}: input symbol {bad!r} is not in the alphabet")
     return symbols
 
@@ -627,8 +637,7 @@ def run_many(
         inputs = [word if isinstance(word, str) else tuple(word) for word in inputs]
         clean = automaton.alphabet_set.issuperset(itertools.chain.from_iterable(inputs))
     else:  # plain strings, the usual case: deleting every symbol leaves nothing
-        clean = not joined.translate(
-            dict.fromkeys(ord(s) for s in automaton.input_alphabet if len(s) == 1))
+        clean = not joined.translate(automaton.alphabet_deletions)
     lengths = list(map(len, inputs))
     ordered = sorted(lengths)
     if not clean or (ordered and not ordered[0]):

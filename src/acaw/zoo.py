@@ -184,7 +184,7 @@ def is_member_pair01(word: str) -> bool:
 
 
 def is_member_zeros(word: str) -> bool:
-    return bool(word) and set(word) == {"0"}
+    return bool(word) and not word.strip("0")
 
 
 def generate_someone(k: int) -> str:
@@ -236,6 +236,14 @@ def is_witness_member(f_choice: str, word: str) -> bool:
     return False
 
 
+def is_member_witness_square(word: str) -> bool:
+    return is_witness_member("square", word)
+
+
+def is_member_witness_halfexp(word: str) -> bool:
+    return is_witness_member("halfexp", word)
+
+
 @dataclass(frozen=True)
 class WordFamily:
     """A benchmark family: indexed members plus a ground-truth predicate."""
@@ -268,12 +276,12 @@ FAMILIES: dict[str, WordFamily] = {
     ),
     "witness-square": WordFamily(
         "witness-square", ("0", "1", "#"),
-        partial(witness_word, "square"), partial(is_witness_member, "square"),
+        partial(witness_word, "square"), is_member_witness_square,
         None,
     ),
     "witness-halfexp": WordFamily(
         "witness-halfexp", ("0", "1", "#"),
-        partial(witness_word, "halfexp"), partial(is_witness_member, "halfexp"),
+        partial(witness_word, "halfexp"), is_member_witness_halfexp,
         None,
     ),
 }
@@ -285,6 +293,6 @@ ORACLES: dict[str, Callable[[str], bool]] = {
     "someone": is_member_someone,
     "bin": is_member_bin,
     "idmat": is_member_idmat,
-    "witness-square": partial(is_witness_member, "square"),
-    "witness-halfexp": partial(is_witness_member, "halfexp"),
+    "witness-square": is_member_witness_square,
+    "witness-halfexp": is_member_witness_halfexp,
 }

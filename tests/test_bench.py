@@ -173,6 +173,14 @@ def test_verify_equivalence_names_the_pair01_oracle():
     assert report.ok and report.oracle == "is_member_pair01"
 
 
+@pytest.mark.parametrize("choice", ["square", "halfexp"])
+def test_verify_equivalence_names_the_witness_oracles(choice):
+    oracle = zoo.ORACLES[f"witness-{choice}"]
+    assert FAMILIES[f"witness-{choice}"].is_member is oracle
+    report = verify_equivalence(zoo_automaton("bin"), oracle, 3)
+    assert report.oracle == f"is_member_witness_{choice}"
+
+
 def test_lex_chunks_pack_consecutive_lengths(monkeypatch):
     """Chunks are full but for the last, and short words share one with
     longer ones, in length and then lexicographic order."""

@@ -56,8 +56,34 @@ def test_initial_configuration_checks_alphabet():
     assert initial_configuration(a, "0110") == ("0", "1", "1", "0")
     with pytest.raises(AlphabetError):
         initial_configuration(a, "01x")
-    with pytest.raises(AlphabetError, match=r"^shift: input symbol 'x' is not in the alphabet$"):
+    message = r"^shift: input symbol 'x' is not in the alphabet$"
+    with pytest.raises(AlphabetError, match=message):
         initial_configuration(a, "01" * 25_000 + "x" + "1")
+    word = "01" * 25_000 + "x"
+    for check in (initial_configuration, run_acceptor, lambda a, w: run_many(a, ["01", w])):
+        with pytest.raises(AlphabetError, match=message):
+            check(a, word)
+
+
+def test_alphabet_check_reads_a_string_by_its_characters():
+    """A string word's symbols are its characters, so a multi-character
+    symbol never matches inside one; a tuple word's items are its symbols."""
+    a = set_automaton("multi", ("ab", "c"), lambda l, c, r: c, ("c",), states=("ab", "c"))
+    message = r"^multi: input symbol 'a' is not in the alphabet$"
+    for word in ("ab", "cab"):
+        with pytest.raises(AlphabetError, match=message):
+            initial_configuration(a, word)
+        with pytest.raises(AlphabetError, match=message):
+            run_many(a, ["c", word])
+    assert initial_configuration(a, "cc") == ("c", "c")
+    assert initial_configuration(a, ("ab", "c")) == ("ab", "c")
+    assert initial_configuration(a, ["c", "ab"]) == ("c", "ab")
+    assert run_acceptor(a, ("c", "c")).kind == ACCEPT
+    assert run_many(a, [("c", "c"), ["c"], "c"]) == [(ACCEPT, 0)] * 3
+    with pytest.raises(AlphabetError, match=message):
+        initial_configuration(a, ("ab", "a"))
+    with pytest.raises(AlphabetError, match=r"^multi: input symbol 'abc' is not in the alphabet$"):
+        run_many(a, [("c",), ("abc", "c")])
 
 
 def test_global_step_shifts():

@@ -126,6 +126,30 @@ def ternary_words(max_len):
     return [w for n in range(1, max_len + 1) for w in itertools.product("01#", repeat=n)]
 
 
+@pytest.mark.parametrize("role", ["acceptor", "decider"])
+def test_shift_visits_keep_fsm_e_and_ones_set(role):
+    """Every verifier visit of the idmat machines' rule is ``(mode, par, 'e',
+    True)``: only the counter comparison changes a visit's fsm or ones flag.
+    The kernel relies on it, keeping a shift run's fsm-p plane clear and its
+    ones plane equal to the presence plane."""
+    machine = dataclasses.replace(getattr(FAMILIES["idmat"], role)(), kernel=None)
+    run = run_decider if machine.is_decider else run_acceptor
+    rng = random.Random(2301)
+    words = ternary_words(6) + ["".join(rng.choices("01#", k=rng.randint(10, 60)))
+                                for _ in range(300)]
+    members = [generate_idmat(k) for k in range(2, 8)]
+    words += members + [corrupt(w, rng.randrange(len(w)), rng.choice("01#"))
+                        for w in members for _ in range(10)]
+    visits = 0
+    for word in words:
+        for config in run(machine, word, collect_trace=True).trace.configurations[1:]:
+            for cell in config:
+                if cell.v is not None:
+                    visits += 1
+                    assert cell.v[2:] == ("e", True), (word, cell)
+    assert visits > 5000
+
+
 @pytest.mark.parametrize("family", ["idmat", "bin"])
 def test_doomed_face_is_successor_closed_on_reached_triples(family):
     """No doomed state accepts, and every triple the runs stepped whose centre
