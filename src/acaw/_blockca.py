@@ -451,7 +451,7 @@ class _BlockPlanes(SpacedWords):
         return (self.s0, self.s1, sh, 0, 0, 0, 0, 0, 0, 0, 0, sh | firsts, 0, 0, 0, 0, 0, 0,
                 dead, mc, 0, 0, 1 if self.decider else 0)
 
-    def finality(self, config: tuple, want_reject: bool) -> tuple[int, int]:
+    def finality(self, config: tuple) -> tuple[int, int]:
         """The verdict bits of the words that accept (every cell ok) and of
         those that reject (no cell holds the clean marker on a 1 that spares
         a word a census)."""
@@ -459,9 +459,7 @@ class _BlockPlanes(SpacedWords):
             return 0, 0
         if config[-1] != 1 or not self.decider:
             return (config[_OK] + self.firsts) & self.spacers, 0  # self.every, inlined
-        if want_reject:
-            return 0, self.spacers ^ self.some(config[_MC] & self.s1)
-        return 0, 0
+        return 0, self.spacers ^ self.some(config[_MC] & self.s1)
 
     def doomed(self, config: tuple) -> int:
         """The verdict bits of the words with a doomed cell."""

@@ -93,17 +93,22 @@ def read_rows(path) -> list[BenchRow]:
             if (steps == "") != (verdict == TIMEOUT):
                 raise ParameterError(f"{path}:{lineno}: steps must be empty exactly for a timeout")
             try:
-                rows.append(
-                    BenchRow(
-                        family=family,
-                        k=int(k),
-                        n=int(n),
-                        verdict=verdict,
-                        steps=None if steps == "" else int(steps),
-                    )
+                row = BenchRow(
+                    family=family,
+                    k=int(k),
+                    n=int(n),
+                    verdict=verdict,
+                    steps=None if steps == "" else int(steps),
                 )
             except ValueError:
                 raise ParameterError(f"{path}:{lineno}: non-integer field") from None
+            # A run needs a non-empty word and counts steps from 0; the fit
+            # divides by each bound at n, which is 0 or undefined below n = 1.
+            if row.n < 1:
+                raise ParameterError(f"{path}:{lineno}: n must be at least 1, got {row.n}")
+            if row.steps is not None and row.steps < 0:
+                raise ParameterError(f"{path}:{lineno}: steps must be at least 0, got {row.steps}")
+            rows.append(row)
     return rows
 
 

@@ -224,8 +224,6 @@ def _cmd_contract(args) -> int:
 
 
 def _cmd_zoo(args) -> int:
-    if args.action != "build":
-        raise ParameterError(f"unknown zoo action {args.action!r}")
     source = TABLE_SOURCES.get(args.name)
     if source is None:
         hint = (

@@ -97,10 +97,10 @@ class Automaton:
     given order, each word's cells followed by one spacer bit that is the
     word's verdict bit, and has ``start``, its step-0 configuration,
     ``step(config)`` and ``spacers``, the spacer bits as one int.
-    ``finality(config, want_reject)`` gives two ints, the bits of the words
-    that accept and of those that reject (as :func:`classify` judges each
-    word's cells), and, on a machine with a doomed face, ``doomed(config)``
-    the bits of the words with a doomed cell.  The block machines' kernel
+    ``finality(config)`` gives two ints, the bits of the words that accept
+    and of those that reject (as :func:`classify` judges each word's cells;
+    none reject on an acceptor), and, on a machine with a doomed face,
+    ``doomed(config)`` the bits of the words with a doomed cell.  The block machines' kernel
     is ``_blockca._BlockPlanes`` and the zoo's rule tables' comes from
     :func:`acaw.rulefile.table_kernel`; both lay their words out as
     :mod:`acaw._planes` does.  A one-word run also gives ``states(config)``,
@@ -244,7 +244,7 @@ def classify(automaton: Automaton, config: Iterable[Any]) -> Optional[str]:
     for non-empty windows.
     """
     runner = automaton._runner
-    accepted, rejected = runner.finality(tuple(map(runner.intern, config)), automaton.is_decider)
+    accepted, rejected = runner.finality(tuple(map(runner.intern, config)))
     return ACCEPT if accepted else REJECT if rejected else None
 
 
@@ -444,7 +444,9 @@ class _Runner:
     The stepper of every machine without a kernel, with the members a
     kernel's one-word runs have (``step``, ``finality``, ``doomed``,
     ``states``, ``leftmost_open``; its one word's bit is 1), and
-    the one behind the object-level helpers for every machine.
+    the one behind the object-level helpers for every machine.  The reject
+    test ``finality`` makes is bound here, from the machine's mode: an
+    acceptor's runner never reports a reject.
     Configurations are tuples of state ids.  A step is one C-level ``map`` of
     the memo's ``__getitem__`` over the cells' (left, centre, right) triples;
     a new triple reaches ``_Memo.__missing__``, which calls the rule.  The
@@ -461,8 +463,9 @@ class _Runner:
         self.intern = states.__getitem__
         self.objs, self.acc, self.rej = states.objs, states.acc, states.rej
         self.doom = states.doom if automaton.doomed else None
-        # bound once: a run calls these on every step
+        # bound once: a run calls these on every step; an acceptor never rejects
         self.lookup, self.accepts = self.table.__getitem__, self.acc.__getitem__
+        self.rejects = self.rej.__getitem__ if automaton.is_decider else None
 
     def step(self, config: tuple) -> tuple:
         return tuple(map(self.lookup, zip((0,) + config, config, config[1:] + (0,))))
@@ -471,10 +474,10 @@ class _Runner:
         """The rule on each triple of states, memoizing none (``validate``'s walk)."""
         return list(itertools.starmap(self.rule, triples))
 
-    def finality(self, config: tuple, want_reject: bool) -> tuple[bool, bool]:
+    def finality(self, config: tuple) -> tuple[bool, bool]:
         if all(map(self.accepts, config)):
             return _ACCEPTED
-        if want_reject and all(map(self.rej.__getitem__, config)):
+        if self.rejects and all(map(self.rejects, config)):
             return _REJECTED
         return _OPEN
 
@@ -535,11 +538,12 @@ def _evolve(
     evolution is deterministic, so a repeat can never lead anywhere new.
     Whether the caller keeps ``history`` picks the rule that finds repeats.
 
-    * With a dict, the loop stores each configuration it yields under its
-      step, hashing each once, and stops before the first repeat: on an
-      evolution with a tail of length mu and a period of lambda, before step
-      mu + lambda, whatever the period.  On return the dict maps every
-      yielded configuration to its step.  Traced runs,
+    * With a dict, the loop stores each configuration under its step before
+      it yields it, hashing each once, and stops before the first repeat: on
+      an evolution with a tail of length mu and a period of lambda, before
+      step mu + lambda, whatever the period.  So the dict, in order, is every
+      configuration yielded so far, even when the caller stops at step 0; a
+      traced run reads its trace from it.  Traced runs,
       :func:`configurations`, :func:`leftmost_open` and :func:`observe` use it.
     * Without, the anchor rule (after Brent 1980) compares each
       configuration with one saved anchor, re-saved at steps 1, 2, 4, 8, ...
@@ -548,9 +552,9 @@ def _evolve(
       at step 2^k >= max(mu, lambda) lies on the cycle and is met again
       lambda steps later, before the next re-save.
     """
-    yield config
     if history is not None:
         history[config] = 0
+    yield config
     anchor, due = config, 1
     for steps in range(1, max_steps + 1):
         config = stepper.step(config)
@@ -569,30 +573,26 @@ def _run(
     word: Iterable[str],
     max_steps: Optional[int],
     collect_trace: bool,
-    want_reject: bool,
 ) -> Verdict:
     """One run, stopped at its first final configuration, a repeat or the
     budget, and on an untraced acceptor run also at a doomed cell.
 
-    A traced run keeps every configuration, so it finds repeats by
-    :func:`_evolve`'s exact history and its trace ends just before the first
-    repeat; an untraced run by the anchor rule, which hashes and keeps
-    nothing.  Both catch any period.  They stop a cycling run at different
+    A traced run finds repeats by :func:`_evolve`'s exact history and reads
+    its trace from it, so the trace ends just before the first repeat; an
+    untraced run by the anchor rule, which hashes and keeps nothing.  Both
+    catch any period.  They stop a cycling run at different
     steps, but never give a different verdict or step count: either stops
     only at a configuration equal to an earlier one, from where the run goes
     round configurations already found not final.
     """
     stepper, config, max_steps = _start(automaton, word, max_steps)
-    raw_configs = []
     # Doom is successor-closed, so looking only at steps 0, 1, 2, 4, ... stops
     # a hopeless run at most twice as late, with no scan at every step.
-    doom = not (collect_trace or want_reject) and automaton.doomed is not None
+    doom = not (collect_trace or automaton.is_decider) and automaton.doomed is not None
     outcome, at = TIMEOUT, None
-    history = {} if collect_trace else None  # a trace keeps every configuration anyway
+    history = {} if collect_trace else None  # the trace, once the run ends
     for steps, config in enumerate(_evolve(stepper, config, max_steps, history)):
-        if collect_trace:
-            raw_configs.append(stepper.states(config))
-        accepted, rejected = stepper.finality(config, want_reject)
+        accepted, rejected = stepper.finality(config)
         if accepted or rejected:
             outcome, at = (ACCEPT if accepted else REJECT), steps
             break
@@ -601,7 +601,7 @@ def _run(
     # Otherwise a timeout: the budget ran out, a repeat pinned the future orbit
     # to non-final configurations already classified, or a doomed cell bars
     # acceptance.
-    trace = Trace(automaton, tuple(raw_configs)) if collect_trace else None
+    trace = Trace(automaton, tuple(map(stepper.states, history))) if collect_trace else None
     return Verdict(outcome, at, trace)
 
 
@@ -629,7 +629,6 @@ def run_many(
     grows with it, so a span's words expire together, and an event's words
     are one strided slice of its bits per span.
     """
-    want_reject = automaton.is_decider
     inputs = list(words)
     try:
         joined = "".join(inputs)
@@ -644,7 +643,7 @@ def run_many(
         for word in inputs:
             _checked(automaton, word, max_steps)  # raises at the first bad word
     if automaton.kernel is None or not inputs:
-        verdicts = (_run(automaton, word, max_steps, False, want_reject) for word in inputs)
+        verdicts = (_run(automaton, word, max_steps, False) for word in inputs)
         return [(v.kind, v.steps) for v in verdicts]
     if ordered == lengths:
         order, batch = list(range(len(inputs))), inputs
@@ -669,10 +668,10 @@ def run_many(
     digits = f"0{width}b"
     run = automaton.kernel(batch)
     open_ = run.spacers
-    doom = not want_reject and automaton.doomed is not None
+    doom = not automaton.is_decider and automaton.doomed is not None
     results: list = [(TIMEOUT, None)] * len(inputs)
     for steps, config in enumerate(_evolve(run, run.start, max(expiring))):
-        accepted, rejected = run.finality(config, want_reject)
+        accepted, rejected = run.finality(config)
         for kind, bits in ((ACCEPT, accepted & open_), (REJECT, rejected & open_)):
             if bits:
                 open_ ^= bits
@@ -703,7 +702,7 @@ def run_acceptor(
     """
     if automaton.is_decider:
         raise ModeError(f"{automaton.name} is a decider; use run_decider")
-    return _run(automaton, word, max_steps, collect_trace, want_reject=False)
+    return _run(automaton, word, max_steps, collect_trace)
 
 
 def run_decider(
@@ -719,4 +718,4 @@ def run_decider(
     """
     if not automaton.is_decider:
         raise ModeError(f"{automaton.name} is an acceptor; use run_acceptor")
-    return _run(automaton, word, max_steps, collect_trace, want_reject=True)
+    return _run(automaton, word, max_steps, collect_trace)

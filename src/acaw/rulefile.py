@@ -127,10 +127,11 @@ class _TablePlanes(SpacedWords):
     def step(self, config: tuple) -> tuple:
         return self.rows.step(config, self.cells, self.firsts, self.lasts)
 
-    def finality(self, config: tuple, want_reject: bool) -> tuple[int, int]:
-        """The verdict bits of the words that accept and of those that reject."""
+    def finality(self, config: tuple) -> tuple[int, int]:
+        """The verdict bits of the words that accept and of those that reject
+        (none on an acceptor's table, whose rejecting plane is 0)."""
         accepting, rejecting = self.rows.faces(config)
-        return self.every(accepting), self.every(rejecting) if want_reject else 0
+        return self.every(accepting), self.every(rejecting)
 
     def leftmost_open(self, config: tuple) -> tuple[Optional[int], Optional[int]]:
         """A one-word run's leftmost cell that does not accept and leftmost

@@ -22,10 +22,12 @@ from ._blockca import INCREMENT, SHIFT, block_automaton
 from .core import Automaton, ParameterError
 from .rulefile import parse_rule_table, table_kernel
 
-# Accepts (01) repeated one or more times.  The four listed neighborhoods
-# are the only ones that create the accept state; everything else keeps
-# its symbol, so any flaw freezes into a non-accepting fixed point.
-_PAIR01_TABLE = """\
+# Machines with a textual rule table, for `zoo build`.
+TABLE_SOURCES = {
+    # Accepts (01) repeated one or more times.  The four listed neighborhoods
+    # are the only ones that create the accept state; everything else keeps
+    # its symbol, so any flaw freezes into a non-accepting fixed point.
+    "pair01": """\
 alphabet: 0 1
 states: 0 1 a
 accept: a
@@ -34,22 +36,20 @@ rule: 1 0 1 -> a
 rule: q 0 1 -> a
 rule: 0 1 q -> a
 default: center
-"""
-
-# Accepts the all-zero words: the identity rule with accepting state 0,
-# so members are accepted before the first step and anything containing
-# a 1 sits in a non-accepting fixed point forever.
-_ZEROS_TABLE = """\
+""",
+    # Accepts the all-zero words: the identity rule with accepting state 0,
+    # so members are accepted before the first step and anything containing
+    # a 1 sits in a non-accepting fixed point forever.
+    "zeros": """\
 alphabet: 0 1
 states: 0 1
 accept: 0
 default: center
-"""
-
-# Decides whether some cell holds a 1.  Zeros flip to the reject state,
-# everything else to accept; after one step a second step turns any mix
-# into all-accepting.  Worst case two steps, independent of length.
-_SOMEONE_TABLE = """\
+""",
+    # Decides whether some cell holds a 1.  Zeros flip to the reject state,
+    # everything else to accept; after one step a second step turns any mix
+    # into all-accepting.  Worst case two steps, independent of length.
+    "someone": """\
 alphabet: 0 1
 states: 0 1 a r
 accept: a
@@ -57,7 +57,8 @@ reject: r
 rule: * 0 * -> r
 rule: * * * -> a
 default: none
-"""
+""",
+}
 
 
 @lru_cache(maxsize=3)  # one per zoo table
@@ -66,55 +67,28 @@ def _template(text: str, name: str, parse: Callable) -> Automaton:
     return dataclasses.replace(machine, kernel=table_kernel(machine))
 
 
-def _table_machine(text: str, name: str) -> Automaton:
-    """A fresh machine from the table's template, parsed and compiled once.
+def _table_machine(name: str) -> Automaton:
+    """A fresh machine from the named table's template, parsed and compiled once.
 
     The copy shares the template's rule, faces and kernel but gets its own
     cold rule memo, so every build runs as the first one did.  The template
     is keyed by the parser in use too, so a parser swapped in at run time
     (a tracer's, say) reads each table once before its copies are served.
     """
-    return dataclasses.replace(_template(text, name, parse_rule_table))
+    return dataclasses.replace(_template(TABLE_SOURCES[name], name, parse_rule_table))
 
-
-def build_pair01_aca() -> Automaton:
-    return _table_machine(_PAIR01_TABLE, "pair01")
-
-
-def build_zeros_aca() -> Automaton:
-    return _table_machine(_ZEROS_TABLE, "zeros")
-
-
-def build_someone_daca() -> Automaton:
-    return _table_machine(_SOMEONE_TABLE, "someone")
-
-
-def build_bin_aca() -> Automaton:
-    return block_automaton("bin", INCREMENT, decider=False)
-
-
-def build_idmat_aca() -> Automaton:
-    return block_automaton("idmat", SHIFT, decider=False)
-
-
-def build_idmat_daca() -> Automaton:
-    return block_automaton("idmat-decider", SHIFT, decider=True)
-
-
-# Machines with a textual rule table, for `zoo build`.
-TABLE_SOURCES = {
-    "pair01": _PAIR01_TABLE,
-    "zeros": _ZEROS_TABLE,
-    "someone": _SOMEONE_TABLE,
-}
 
 # name -> (acceptor builder, decider builder); None marks a missing mode.
+# The only place that names a zoo machine's builders: FAMILIES reads them here.
 ZOO: dict[str, tuple[Optional[Callable[[], Automaton]], Optional[Callable[[], Automaton]]]] = {
-    "pair01": (build_pair01_aca, None),
-    "zeros": (build_zeros_aca, None),
-    "someone": (None, build_someone_daca),
-    "bin": (build_bin_aca, None),
-    "idmat": (build_idmat_aca, build_idmat_daca),
+    "pair01": (partial(_table_machine, "pair01"), None),
+    "zeros": (partial(_table_machine, "zeros"), None),
+    "someone": (None, partial(_table_machine, "someone")),
+    "bin": (partial(block_automaton, "bin", INCREMENT, decider=False), None),
+    "idmat": (
+        partial(block_automaton, "idmat", SHIFT, decider=False),
+        partial(block_automaton, "idmat-decider", SHIFT, decider=True),
+    ),
 }
 
 
@@ -257,42 +231,24 @@ class WordFamily:
     decider: Optional[Callable[[], Automaton]] = None
 
 
-FAMILIES: dict[str, WordFamily] = {
-    "bin": WordFamily(
-        "bin", ("0", "1", "#"), generate_bin, is_member_bin, "log",
-        acceptor=build_bin_aca,
-    ),
-    "idmat": WordFamily(
-        "idmat", ("0", "1", "#"), generate_idmat, is_member_idmat, "sqrt",
-        acceptor=build_idmat_aca, decider=build_idmat_daca,
-    ),
-    "zeros": WordFamily(
-        "zeros", ("0", "1"), generate_zeros, is_member_zeros, "const",
-        acceptor=build_zeros_aca,
-    ),
-    "someone": WordFamily(
-        "someone", ("0", "1"), generate_someone, is_member_someone, "const",
-        decider=build_someone_daca,
-    ),
-    "witness-square": WordFamily(
-        "witness-square", ("0", "1", "#"),
-        partial(witness_word, "square"), is_member_witness_square,
-        None,
-    ),
-    "witness-halfexp": WordFamily(
-        "witness-halfexp", ("0", "1", "#"),
-        partial(witness_word, "halfexp"), is_member_witness_halfexp,
-        None,
-    ),
-}
+def _family(name, alphabet, generate, is_member, expected_bound) -> WordFamily:
+    """A family whose builders, if it is a zoo machine, are its ``ZOO`` entry."""
+    return WordFamily(name, alphabet, generate, is_member, expected_bound, *ZOO.get(name, ()))
+
+
+FAMILIES: dict[str, WordFamily] = {family.name: family for family in (
+    _family("bin", ("0", "1", "#"), generate_bin, is_member_bin, "log"),
+    _family("idmat", ("0", "1", "#"), generate_idmat, is_member_idmat, "sqrt"),
+    _family("zeros", ("0", "1"), generate_zeros, is_member_zeros, "const"),
+    _family("someone", ("0", "1"), generate_someone, is_member_someone, "const"),
+    _family("witness-square", ("0", "1", "#"), partial(witness_word, "square"),
+            is_member_witness_square, None),
+    _family("witness-halfexp", ("0", "1", "#"), partial(witness_word, "halfexp"),
+            is_member_witness_halfexp, None),
+)}
 
 # Ground-truth membership predicates for `verify`, by oracle name.
 ORACLES: dict[str, Callable[[str], bool]] = {
     "pair01": is_member_pair01,
-    "zeros": is_member_zeros,
-    "someone": is_member_someone,
-    "bin": is_member_bin,
-    "idmat": is_member_idmat,
-    "witness-square": is_member_witness_square,
-    "witness-halfexp": is_member_witness_halfexp,
+    **{name: family.is_member for name, family in FAMILIES.items()},
 }

@@ -49,6 +49,9 @@ def test_csv_round_trip(tmp_path):
         "family,k,n,verdict,steps\nidmat,1,1,accept\n",  # missing field
         "family,k,n,verdict,steps\nidmat,1,2,timeout,5\n",  # steps on a timeout
         "family,k,n,verdict,steps\nidmat,2,5,accept,\n",  # no steps on a verdict
+        "family,k,n,verdict,steps\nidmat,1,0,accept,3\n",  # no word has length 0
+        "family,k,n,verdict,steps\nidmat,1,-4,accept,3\n",  # negative length
+        "family,k,n,verdict,steps\nidmat,1,4,accept,-3\n",  # negative steps
     ],
 )
 def test_read_rows_rejects_malformed(tmp_path, content):

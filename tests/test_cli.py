@@ -192,6 +192,14 @@ def test_bench_bad_arguments(tmp_path):
                  "--ceiling", "1"]) == 2
 
 
+@pytest.mark.parametrize("n, steps, bound", [(0, 3, "linear"), (-4, 3, "sqrt"), (4, -3, "const")])
+def test_fit_refuses_impossible_rows(tmp_path, capsys, n, steps, bound):
+    csv = tmp_path / "curve.csv"
+    csv.write_text(f"family,k,n,verdict,steps\nidmat,1,{n},accept,{steps}\n")
+    assert main(["fit", "--csv", str(csv), "--bound", bound, "--ceiling", "5"]) == 2
+    assert "curve.csv:2: " in capsys.readouterr().err
+
+
 def test_compile_slt_from_scanner(tmp_path, capsys):
     spec = tmp_path / "pair.scan"
     spec.write_text(SCANNER_PAIR)

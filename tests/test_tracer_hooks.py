@@ -1,10 +1,14 @@
-"""The benchmark's tracer wraps package attributes by name; keep them there.
+"""The benchmark's tracer wraps package attributes by name, and its workloads
+build the zoo's machines, families and oracles; keep them usable.
 
-Tier-1 does not collect ``benchmarks/``, so without this test a renamed or
-removed attribute would surface only when the benchmark's own tests run.
+Tier-1 does not collect ``benchmarks/``, so without these tests a renamed or
+removed attribute, or a broken zoo entry, would surface only when the
+benchmark's own tests run.
 """
 
 from pathlib import Path
+
+import pytest
 
 import acaw.bench
 import acaw.localtests
@@ -21,3 +25,18 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
         assert acaw.bench.run_decider is not before[0]
         assert acaw.localtests.global_step is not before[1]
     assert (acaw.bench.run_decider, acaw.localtests.global_step) == before
+
+
+# lt is left out: its set-up writes tables under benchmarks/out/ and takes
+# far longer than the rest together.
+@pytest.mark.parametrize("name", ["sweep", "curves", "locality"])
+def test_traced_pass_answers_every_word(monkeypatch, name):
+    """A zoo builder, family or oracle that the benchmark can no longer use
+    fails here too."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+    import workloads
+
+    workload = workloads.WORKLOADS[name]
+    tally, _ = workloads.timed_pass(workload, workload.setup(7), tracing.Tracer())
+    assert tally.attempted > 0 and tally.failed == 0, tally.errors

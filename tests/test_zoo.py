@@ -15,6 +15,7 @@ from acaw import (
     FAMILIES,
     ORACLES,
     ParameterError,
+    TABLE_SOURCES,
     ZOO,
     lemma1_hypothesis,
     run_acceptor,
@@ -29,6 +30,7 @@ from acaw.zoo import (
     generate_someone,
     is_member_bin,
     is_member_idmat,
+    is_member_pair01,
     is_witness_member,
 )
 
@@ -404,3 +406,21 @@ def test_family_registry_consistency():
         assert (family.acceptor is not None) or (family.decider is not None) or (
             family.expected_bound is None
         )
+
+
+def test_each_zoo_machine_is_declared_once():
+    """A family that is a zoo machine builds through its ``ZOO`` entry, each
+    family's predicate is its oracle, and every table builds on a kernel."""
+    for name, family in FAMILIES.items():
+        if name in ZOO:
+            acceptor, decider = ZOO[name]
+            assert family.acceptor is acceptor and family.decider is decider, name
+        assert ORACLES[name] is family.is_member, name
+    assert set(ORACLES) == {"pair01", *FAMILIES}
+    assert ORACLES["pair01"] is is_member_pair01
+    for name in TABLE_SOURCES:
+        builders = [build for build in ZOO[name] if build is not None]
+        assert builders, name
+        for build in builders:
+            machine = build()
+            assert machine.name == name and machine.kernel is not None, name
