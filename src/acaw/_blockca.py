@@ -64,12 +64,14 @@ hold and rf ``.``, no verifier, marker ``-``) is a cell with none of its
 field's bits set.  ``age`` and ``phase`` are the same in every cell, so
 they are two ints.  Only the counter comparison changes a visit's fsm or
 ones flag, so the shift machines keep the fsm ``p`` plane clear and the
-ones plane equal to the presence plane, and step neither.  A step is 40 to
-99 big-int operations on the shift machines and 51 to 142 on the counter,
+ones plane equal to the presence plane, and step neither.  A step is 35 to
+96 big-int operations on the shift machines and 45 to 135 on the counter,
 whatever the words' lengths; the more while chains are still emitting or
-visits start.  Each word's verdicts are read at its spacer bit: every
-cell ok (accept), some clean marker on a 1 (no census rejection) and some
-doomed cell.  ``states`` decodes a one-word configuration to the same
+visits start.  It reads the run's masks from one tuple built with the run,
+and takes no complement with ``~`` (see :mod:`acaw._planes`).  Each word's
+verdicts are read at its spacer bit: every cell ok (accept), some clean
+marker on a 1 (no census rejection) and some doomed cell.  ``states``
+decodes a one-word configuration to the same
 ``BCell`` tuples the rule builds, so traces are unchanged; ``_BlockRule``
 stays the reference the kernel is tested against, and the rule memo steps
 these machines for ``core.global_step`` and the other object-level helpers.
@@ -317,32 +319,38 @@ class _BlockPlanes(SpacedWords):
     """
 
     def __init__(self, shift: bool, decider: bool, words: list):
-        self.shift, self.decider = shift, decider
+        self.decider = decider
         text = spaced_text(words, ".")
         super().__init__(words, int(text.translate(_CELL), 2))
-        cells = self.cells
-        self.s0, self.s1 = s0, s1 = int(text.translate(_IS0), 2), int(text.translate(_IS1), 2)
-        self.b = b = s0 | s1
-        self.sh = cells ^ b
-        self.lh = lh = (self.sh << 1) & cells
-        self.lb = (b << 1) & cells
-        # Step constants: where an F visit passes (a 1 in a word's first
-        # cell, a 0 elsewhere), where a C visit passes at once (a 0 just
-        # right of a separator) and where it compares instead, and the
-        # block cells a census marker can hop into.
-        firsts = self.firsts
-        self.f_pass = (firsts & s1) | (s0 & ~firsts)
-        self.lh0, self.not_lh = lh & s0, ~lh
-        self.hop = b & self.lb
+        cells, firsts, lasts = self.cells, self.firsts, self.lasts
+        s0, s1 = int(text.translate(_IS0), 2), int(text.translate(_IS1), 2)
+        self.s1 = s1
+        b = s0 | s1
+        sh = cells ^ b
+        past_sh = (sh << 1) & cells  # block cells just right of a separator
+        lb = (b << 1) & cells
+        # Step 1: every cell initialised from its symbol and its neighbours';
+        # a separator without a block cell on each side is dead at once.
+        self.one = (s0, s1, sh, 0, 0, 0, 0, 0, 0, 0, 0, sh | firsts, 0, 0, 0, 0, 0, 0,
+                    sh ^ (sh & lb & (b >> 1)), b & (firsts | past_sh) if decider else 0, 0, 0,
+                    1 if decider else 0)
+        # Later steps' constants: where an F visit passes (a 1 in a word's
+        # first cell, a 0 elsewhere), where a C visit passes at once (a 0
+        # just right of a separator) and where it compares instead, and the
+        # block cells a census marker can hop into.  ``step`` reads them all
+        # from this one tuple.
+        f_pass = (firsts & s1) | (s0 ^ (s0 & firsts))
+        self.constants = (cells, b, sh, s0, s1, firsts, lasts, past_sh, past_sh & s0,
+                          cells ^ past_sh, f_pass, b & lb, shift, decider)
         self.start = ()
 
     def step(self, config: tuple) -> tuple:
         if not config:
-            return self._first()
+            return self.one
         (ls0, ls1, lsh, hd0, hd1, hdh, hdq, rf0, rf1, rfh, rfx, emit, vp, vc, v1, vfp,
          vones, ok, dead, mc, ms, age, phase) = config
-        cells, b, sh, s0, s1 = self.cells, self.b, self.sh, self.s0, self.s1
-        firsts, lasts = self.firsts, self.lasts
+        (cells, b, sh, s0, s1, firsts, lasts, past_sh, past_sh0, not_past_sh, f_pass, hop,
+         shift, decider) = self.constants
 
         # The chain, read from the left (a spacer reads '.'), and the conveyor,
         # read from the right (a spacer reads 'q').  A left read keeps a bit on
@@ -354,7 +362,9 @@ class _BlockPlanes(SpacedWords):
             idle = cells ^ emit
             she, be = sh & emit, b & emit
             dead |= she & (l0 | l1 | lh | lx)  # a clash: the left block is shorter
-            stop = (she & ~(n0 | n1)) | (be & (hdh | hdq))  # cells emitting their head
+            # cells emitting their head: a separator the conveyor shows no
+            # bit, a border-side emitter holding '#' or 'q'
+            stop = (she ^ (she & (n0 | n1))) | (be & (hdh | hdq))
             rf0 = (idle & l0) | (she & n0) | (be & hd0)
             rf1 = (idle & l1) | (she & n1) | (be & hd1)
             idle_lh = idle & lh
@@ -367,38 +377,39 @@ class _BlockPlanes(SpacedWords):
             rf0, rf1, rfh, rfx = l0 & cells, l1 & cells, b & lh, (lx & cells) | (sh & lh)
             hd0 = hd1 = hdh = hdq = 0
         ls0, ls1, lsh = n0, n1, (lsh >> 1) & cells
-        same = (s0 & rf0) | (s1 & rf1)  # cells whose symbol is the chain's value
 
         # Visits at their par-1 step move right, out of block cells only.  Shift
         # runs do not step the fsm-p and ones planes (see the class docstring).
-        shift = self.shift
-        lv = (v1 & b) << 1  # par 1 implies a visit
+        lv = v1 << 1  # par 1 implies a visit, and visits are on block cells
         lvc = (vc << 1) & lv
-        undead = ~dead
+        undead = cells ^ dead
         live = b & undead
         visited = live & vp
         fresh = live ^ visited
-        par0 = visited & ~v1
+        par0 = visited ^ (visited & v1)
         if shift:
             ok |= sh & lv & undead
             nvp, nvc, nv1 = par0, vc & par0, par0
         else:
             lvp, lvo = (vfp << 1) & lv, (vones << 1) & lv
-            ok |= sh & lv & undead & (~lvc | lvp)
+            ok |= sh & undead & ((lv ^ lvc) | lvp)
             counter = par0 & vc
             moved = par0 ^ counter
             nvp, nvc, nv1, nvfp, nvo = moved, vc & moved, moved, vfp & moved, vones & moved
             if counter:
                 # The stream slot is the previous block's same-index bit.
-                unset = counter & ~vfp
+                same = (s0 & rf0) | (s1 & rf1)  # cells whose symbol is the chain's value
+                pending = counter & vfp
+                unset = counter ^ pending
                 carry = unset & s1 & rf0
-                passed = (unset & same) | carry | (counter & vfp & s0 & rf1)
+                passed = (unset & same) | carry | (pending & s0 & rf1)
                 dead |= counter ^ passed
                 fsm, ones = (vfp | carry) & passed, vones & s1 & passed
-                going = passed & ~lasts
                 done = passed & lasts
-                ok |= going | (done & fsm & ones)
-                dead |= done & ~(fsm & ones)
+                going = passed ^ done
+                accepted = done & fsm & ones
+                ok |= going | accepted
+                dead |= done ^ accepted
                 nvp |= going
                 nvc |= going
                 nv1 |= going
@@ -409,13 +420,14 @@ class _BlockPlanes(SpacedWords):
         # a block's first cell when the head arrives.
         from_left = fresh & lv
         first = (fresh & firsts) if age == 0 else 0
-        comparing = fresh & ~lv & self.lh & rfh
+        comparing = (fresh ^ from_left) & past_sh & rfh
         entering = from_left | first | comparing
         if entering:
             mode_c = (from_left & lvc) | comparing
             mode_f = entering ^ mode_c
             if shift:
-                passed = (mode_f & self.f_pass) | (mode_c & (self.lh0 | (self.not_lh & same)))
+                same = (s0 & rf0) | (s1 & rf1)
+                passed = (mode_f & f_pass) | (mode_c & (past_sh0 | (not_past_sh & same)))
             else:
                 passed = (mode_f & s0) | mode_c
             dead |= entering ^ passed
@@ -435,21 +447,13 @@ class _BlockPlanes(SpacedWords):
         if shift:
             nvfp, nvo = 0, nvp
 
-        if self.decider:
+        if decider:
             phase = phase + 1 if phase < 5 else 0
             if phase == 1:  # census: markers hop right, soiling when they leave a 1
-                hop = self.hop
-                mc, ms = hop & ((mc & ~s1) << 1), hop & ((ms | (mc & s1)) << 1)
+                m1 = mc & s1
+                mc, ms = hop & ((mc ^ m1) << 1), hop & ((ms | m1) << 1)
         return (ls0, ls1, lsh, hd0, hd1, hdh, hdq, rf0, rf1, rfh, rfx, emit, nvp, nvc, nv1,
                 nvfp, nvo, ok, dead, mc, ms, 1, phase)
-
-    def _first(self) -> tuple:
-        """Step 1: every cell initialised from its symbol and its neighbours'."""
-        b, sh, firsts = self.b, self.sh, self.firsts
-        dead = sh & ~(self.lb & (b >> 1))
-        mc = b & (firsts | self.lh) if self.decider else 0
-        return (self.s0, self.s1, sh, 0, 0, 0, 0, 0, 0, 0, 0, sh | firsts, 0, 0, 0, 0, 0, 0,
-                dead, mc, 0, 0, 1 if self.decider else 0)
 
     def finality(self, config: tuple) -> tuple[int, int]:
         """The verdict bits of the words that accept (every cell ok) and of
@@ -465,7 +469,8 @@ class _BlockPlanes(SpacedWords):
         """The verdict bits of the words with a doomed cell."""
         if not config:
             return 0
-        return self.some(config[_DEAD] & ~config[_OK])
+        dead = config[_DEAD]
+        return self.some(dead ^ (dead & config[_OK]))
 
     def leftmost_open(self, config: tuple) -> tuple[Optional[int], Optional[int]]:
         """A one-word run's leftmost cell that does not accept and leftmost
@@ -474,7 +479,7 @@ class _BlockPlanes(SpacedWords):
             return 0, 0
         if config[-1] == 1 and self.decider:
             return 0, lowest(config[_MC] & self.s1)
-        return lowest(self.cells & ~config[_OK]), 0
+        return lowest(self.cells ^ config[_OK]), 0
 
     def states(self, config: tuple) -> tuple:
         """A one-word run's cells, as the rule builds them."""

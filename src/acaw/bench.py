@@ -19,7 +19,7 @@ import math
 import operator
 import pathlib
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from .core import (
     ACCEPT,
@@ -121,12 +121,19 @@ def _perturbations(word: str, alphabet: tuple) -> Iterable[str]:
                 yield word[:pos] + sym + word[pos + 1 :]
 
 
+# The longest family member measure_time_curve builds by default, in
+# symbols.  The longest member the tests, demos and benchmark curves use is
+# a someone word of under 50,000 symbols; a bin member passes it at k = 13.
+MAX_MEMBER_LENGTH = 100_000
+
+
 def measure_time_curve(
     family,
     k_range: Iterable[int],
     mode: str = "acceptor",
     max_steps: Optional[int] = None,
     perturb: bool = True,
+    max_length: int = MAX_MEMBER_LENGTH,
 ) -> list[BenchRow]:
     """Run one machine over a family's words and tabulate verdicts and steps.
 
@@ -134,7 +141,19 @@ def measure_time_curve(
     member, every single-symbol corruption at the first, middle, and last
     position that does not happen to land back inside the language, so the
     curve witnesses rejection times as well.
+
+    Before any word is built or run, every member's length is read from
+    ``family.length``; one longer than ``max_length`` symbols raises
+    :class:`ParameterError`.
     """
+    ks = k_range if isinstance(k_range, Collection) else list(k_range)
+    for k in ks:
+        length = family.length(k)
+        if length > max_length:
+            raise ParameterError(
+                f"{family.name} k={k}: its member has {length} symbols,"
+                f" over the budget of {max_length}"
+            )
     if mode == "acceptor":
         if family.acceptor is None:
             raise ModeError(f"{family.name} has no acceptor")
@@ -153,7 +172,7 @@ def measure_time_curve(
         verdict = runner(automaton, word, max_steps=max_steps)
         rows.append(BenchRow(family.name, k, len(word), verdict.kind, verdict.steps))
 
-    for k in k_range:
+    for k in ks:
         word = family.generate(k)
         measure(k, word)
         if mode == "decider" and perturb:

@@ -11,7 +11,14 @@ import functools
 import pathlib
 import sys
 
-from .bench import fit_bound, measure_time_curve, read_rows, verify_equivalence, write_rows
+from .bench import (
+    MAX_MEMBER_LENGTH,
+    fit_bound,
+    measure_time_curve,
+    read_rows,
+    verify_equivalence,
+    write_rows,
+)
 from .core import (
     ACCEPT,
     REJECT,
@@ -31,7 +38,7 @@ from .localtests import (
     tabulate_by_observation,
 )
 from .rulefile import RuleFileError, file_lines, load_rule_table, read_text
-from .semigroups import idempotents, is_locally_testable, load_dfa, syntactic_semigroup
+from .semigroups import idempotents, is_locally_semilattice, load_dfa, syntactic_semigroup
 from .words import debruijn_contract
 from .zoo import FAMILIES, ORACLES, TABLE_SOURCES, ZOO, zoo_automaton
 
@@ -124,7 +131,8 @@ def _cmd_bench(args) -> int:
             f"unknown family {args.family!r}; choose from {sorted(FAMILIES)}"
         )
     rows = measure_time_curve(
-        family, _parse_k_range(args.k), mode=args.mode, max_steps=args.max_steps
+        family, _parse_k_range(args.k), mode=args.mode, max_steps=args.max_steps,
+        max_length=args.max_length,
     )
     write_rows(args.out, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
@@ -206,11 +214,11 @@ def _cmd_semigroup(args) -> int:
     print(f"{dfa.name}: {len(semigroup)} elements, {len(idem)} idempotents")
     if not args.check_lt:
         return EXIT_OK
-    ok, witness = is_locally_testable(dfa)
+    ok, triple = is_locally_semilattice(semigroup)
     if ok:
         print("locally testable: yes")
         return EXIT_OK
-    e, x, y = witness
+    e, x, y = map(semigroup.words.__getitem__, triple)
     print("locally testable: no")
     print(f"witness e={e!r} x={x!r} y={y!r}")
     return EXIT_FAIL
@@ -270,6 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", required=True, help="index range MIN..MAX")
     p.add_argument("--mode", choices=["acceptor", "decider"], default="acceptor")
     p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-length", type=int, default=MAX_MEMBER_LENGTH,
+                   help="refuse a member longer than this many symbols (default %(default)s)")
     p.add_argument("--out", required=True, help="CSV file to write")
     p.set_defaults(handler=_cmd_bench)
 

@@ -682,8 +682,8 @@ def run_many(
                         hits = itertools.compress(indices, flags.encode().translate(_BITS))
                         deque(map(results.__setitem__, hits, outcome), 0)
         if doom and not steps & (steps - 1):
-            open_ &= ~run.doomed(config)
-        open_ &= ~expiring.get(steps, 0)
+            open_ ^= open_ & run.doomed(config)
+        open_ ^= open_ & expiring.get(steps, 0)
         if not open_:
             break
     return results

@@ -136,7 +136,7 @@ class _TablePlanes(SpacedWords):
     def leftmost_open(self, config: tuple) -> tuple[Optional[int], Optional[int]]:
         """A one-word run's leftmost cell that does not accept and leftmost
         that does not reject, each None when every cell does."""
-        return tuple(lowest(self.cells & ~face) for face in self.rows.faces(config))
+        return tuple(lowest(self.cells ^ face) for face in self.rows.faces(config))
 
     def states(self, config: tuple) -> tuple:
         """A one-word run's cells, as the rule builds them."""

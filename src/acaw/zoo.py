@@ -180,7 +180,8 @@ _WITNESS_PERIODS: dict[str, Callable[[int], int]] = {
 }
 
 
-def witness_word(f_choice: str, k: int) -> str:
+def _witness_shape(f_choice: str, k: int) -> tuple[int, int]:
+    """The period and the number of copies of the witness word for ``k``."""
     if f_choice not in _WITNESS_PERIODS:
         raise ParameterError(f"unknown period choice {f_choice!r}")
     _require_k(k)
@@ -190,7 +191,16 @@ def witness_word(f_choice: str, k: int) -> str:
     exponent = k - (period.bit_length() - 1)
     if exponent < 0:
         raise ParameterError(f"period {period} too long for block width {k}")
-    copies = 1 << exponent
+    return period, 1 << exponent
+
+
+def witness_length(f_choice: str, k: int) -> int:
+    period, copies = _witness_shape(f_choice, k)
+    return period * copies
+
+
+def witness_word(f_choice: str, k: int) -> str:
+    period, copies = _witness_shape(f_choice, k)
     pad = "#" * (period - k)
     return "".join(format(m, f"0{k}b") + pad for m in range(copies))
 
@@ -200,12 +210,12 @@ def is_witness_member(f_choice: str, word: str) -> bool:
         raise ParameterError(f"unknown period choice {f_choice!r}")
     for k in range(1, len(word).bit_length() + 2):
         try:
-            candidate = witness_word(f_choice, k)
+            length = witness_length(f_choice, k)
         except ParameterError:
             continue
-        if len(candidate) > len(word):
+        if length > len(word):
             break
-        if candidate == word:
+        if length == len(word) and witness_word(f_choice, k) == word:
             return True
     return False
 
@@ -225,26 +235,30 @@ class WordFamily:
     name: str
     alphabet: tuple
     generate: Callable[[int], str]
+    length: Callable[[int], int]  # len(generate(k)), without building the word
     is_member: Callable[[str], bool]
     expected_bound: Optional[str]  # const, log, sqrt or linear; None = not timed
     acceptor: Optional[Callable[[], Automaton]] = None
     decider: Optional[Callable[[], Automaton]] = None
 
 
-def _family(name, alphabet, generate, is_member, expected_bound) -> WordFamily:
+def _family(name, alphabet, generate, length, is_member, expected_bound) -> WordFamily:
     """A family whose builders, if it is a zoo machine, are its ``ZOO`` entry."""
-    return WordFamily(name, alphabet, generate, is_member, expected_bound, *ZOO.get(name, ()))
+    return WordFamily(name, alphabet, generate, length, is_member, expected_bound,
+                      *ZOO.get(name, ()))
 
 
 FAMILIES: dict[str, WordFamily] = {family.name: family for family in (
-    _family("bin", ("0", "1", "#"), generate_bin, is_member_bin, "log"),
-    _family("idmat", ("0", "1", "#"), generate_idmat, is_member_idmat, "sqrt"),
-    _family("zeros", ("0", "1"), generate_zeros, is_member_zeros, "const"),
-    _family("someone", ("0", "1"), generate_someone, is_member_someone, "const"),
+    _family("bin", ("0", "1", "#"), generate_bin, lambda k: (k + 1) * 2**k - 1,
+            is_member_bin, "log"),
+    _family("idmat", ("0", "1", "#"), generate_idmat, lambda k: k * k + k - 1,
+            is_member_idmat, "sqrt"),
+    _family("zeros", ("0", "1"), generate_zeros, lambda k: k, is_member_zeros, "const"),
+    _family("someone", ("0", "1"), generate_someone, lambda k: k, is_member_someone, "const"),
     _family("witness-square", ("0", "1", "#"), partial(witness_word, "square"),
-            is_member_witness_square, None),
+            partial(witness_length, "square"), is_member_witness_square, None),
     _family("witness-halfexp", ("0", "1", "#"), partial(witness_word, "halfexp"),
-            is_member_witness_halfexp, None),
+            partial(witness_length, "halfexp"), is_member_witness_halfexp, None),
 )}
 
 # Ground-truth membership predicates for `verify`, by oracle name.

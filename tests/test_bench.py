@@ -97,6 +97,28 @@ def test_measure_mode_errors():
         measure_time_curve(FAMILIES["zeros"], [1], mode="oracle")
 
 
+def unbuildable(family):
+    """The family with a ``generate`` that fails the test if it is called."""
+    def generate(k):
+        pytest.fail(f"built the k={k} member")
+    return dataclasses.replace(family, generate=generate)
+
+
+def test_measure_refuses_an_over_long_member_before_building_any():
+    """bin's k = 30 member would have 31 * 2^30 - 1 symbols; the refusal
+    names that length and the budget.  In a range, the first member over the
+    budget is refused before any member is built."""
+    with pytest.raises(ParameterError, match=r"^bin k=30: its member has 33285996543 symbols,"
+                                             r" over the budget of 100000$"):
+        measure_time_curve(unbuildable(FAMILIES["bin"]), [30])
+    with pytest.raises(ParameterError, match=r"^bin k=13: its member has 114687 symbols,"):
+        measure_time_curve(unbuildable(FAMILIES["bin"]), range(1, 31))
+    with pytest.raises(ParameterError, match=r"^idmat k=3: .* 11 symbols, over the budget of 10$"):
+        measure_time_curve(unbuildable(FAMILIES["idmat"]), iter([1, 2, 3]), max_length=10)
+    rows = measure_time_curve(FAMILIES["idmat"], iter([1, 2, 3]), max_length=11)
+    assert [row.n for row in rows] == [1, 5, 11]
+
+
 def test_fit_bound_constant_and_divergence():
     rows = [BenchRow("fake", n, n, ACCEPT, n) for n in range(1, 9)]
     report = fit_bound(rows, "log", ceiling=10)

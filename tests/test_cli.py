@@ -1,5 +1,6 @@
 """The acaw command line: every subcommand, every exit code."""
 
+import dataclasses
 import itertools
 import os
 import random
@@ -15,9 +16,12 @@ from acaw import (
     ACCEPT, TIMEOUT, load_lt_expression, load_rule_table, lt_eval, parse_scanner, run_acceptor,
     run_decider, scanner_accepts,
 )
-from acaw import cli
+from acaw import cli, semigroups
+from acaw.semigroups import (
+    idempotents, is_locally_testable, minimize, parse_dfa, syntactic_semigroup,
+)
 from acaw.cli import main
-from acaw.zoo import TABLE_SOURCES, ZOO, zoo_automaton
+from acaw.zoo import FAMILIES, TABLE_SOURCES, ZOO, zoo_automaton
 
 DFA_PARITY = """\
 alphabet: 0 1
@@ -190,6 +194,22 @@ def test_bench_bad_arguments(tmp_path):
     assert main(["bench", "--family", "zeros", "--k", "x", "--out", out]) == 2
     assert main(["fit", "--csv", str(tmp_path / "gone.csv"), "--bound", "const",
                  "--ceiling", "1"]) == 2
+
+
+def test_bench_refuses_an_over_long_member(tmp_path, capsys, monkeypatch):
+    """``--k 30`` on bin exits 2 at once: its member is never built."""
+    # a build would raise TypeError, which main does not catch
+    monkeypatch.setitem(FAMILIES, "bin", dataclasses.replace(FAMILIES["bin"], generate=None))
+    out = tmp_path / "rows.csv"
+    assert main(["bench", "--family", "bin", "--k", "30", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bin k=30: its member has 33285996543 symbols, over the budget of 100000\n")
+    assert main(["bench", "--family", "idmat", "--k", "1..3", "--max-length", "10",
+                 "--out", str(out)]) == 2
+    assert "11 symbols, over the budget of 10\n" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["bench", "--family", "idmat", "--k", "1..3", "--max-length", "11",
+                 "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("n, steps, bound", [(0, 3, "linear"), (-4, 3, "sqrt"), (4, -3, "const")])
@@ -511,6 +531,40 @@ def test_semigroup_command(tmp_path, capsys):
     someone.write_text(DFA_SOMEONE)
     assert main(["semigroup", "--dfa", str(someone), "--check-lt"]) == 0
     assert "locally testable: yes" in capsys.readouterr().out
+
+
+def test_semigroup_check_lt_closes_the_semigroup_once(tmp_path, capsys, monkeypatch):
+    """``--check-lt`` decides on the semigroup it printed, so the DFA is
+    minimized once; its output is what the DFA-level decision gives, on
+    locally testable DFAs and on others, with witnesses of both kinds."""
+    minimized = []
+    monkeypatch.setattr(semigroups, "minimize", lambda dfa: minimized.append(dfa) or minimize(dfa))
+    rng = random.Random(7)
+    texts = {"parity": DFA_PARITY, "someone": DFA_SOMEONE}
+    for index in range(30):
+        states = [f"s{i}" for i in range(rng.randint(2, 4))]
+        accept = " ".join(s for s in states if rng.random() < 0.5)
+        texts[f"random-{index}"] = f"alphabet: 0 1\nstates: {' '.join(states)}\nstart: s0\n" \
+            f"accept: {accept}\n" + "".join(
+                f"trans: {s} {a} -> {rng.choice(states)}\n" for s in states for a in "01")
+    kinds = set()
+    for name, text in texts.items():
+        dfa = parse_dfa(text, name)
+        semigroup = syntactic_semigroup(dfa)
+        ok, witness = is_locally_testable(dfa)
+        want = f"{name}: {len(semigroup)} elements, {len(idempotents(semigroup))} idempotents\n"
+        if ok:
+            want += "locally testable: yes\n"
+        else:
+            want += "locally testable: no\nwitness e={!r} x={!r} y={!r}\n".format(*witness)
+        kinds.add("yes" if ok else "x == y" if witness[1] == witness[2] else "x != y")
+        path = tmp_path / f"{name}.dfa"
+        path.write_text(text)
+        minimized.clear()
+        assert main(["semigroup", "--dfa", str(path), "--check-lt"]) == (0 if ok else 1)
+        assert capsys.readouterr().out == want, name
+        assert len(minimized) == 1, name
+    assert kinds == {"yes", "x == y", "x != y"}
 
 
 def test_contract_command(capsys):

@@ -654,6 +654,32 @@ def test_block_kernel_doomed_matches_the_doomed_face(family):
             assert bool(run.doomed(config)) == any(map(machine.doomed, run.states(config))), word
 
 
+@pytest.mark.parametrize("name, role", BLOCK_MACHINES + [
+    ("pair01", "acceptor"), ("zeros", "acceptor"), ("someone", "decider")])
+def test_kernel_planes_stay_non_negative_inside_the_cells(name, role):
+    """Every plane of every configuration a kernel run reaches, alone or in a
+    batch, is an int >= 0 with no bit outside ``cells``.  The kernels take
+    complements against a mask (``cells ^ x``, ``x ^ (x & y)``), never with
+    ``~``, which is right only on such planes.  A block run's last two
+    entries, age and phase, are counters, not planes."""
+    machine = zoo_automaton(name, decider=role == "decider")
+    rng = random.Random(2525)
+    if (name, role) in BLOCK_MACHINES:
+        words = ["".join(rng.choices("01#", k=rng.randint(1, 120))) for _ in range(150)]
+        words += [FAMILIES[name].generate(k) for k in range(1, 10 if name == "idmat" else 6)]
+    else:
+        words = ["".join(w) for n in range(1, 8) for w in itertools.product("01", repeat=n)]
+        words += ["".join(rng.choices("01", k=rng.randint(8, 120))) for _ in range(50)]
+    batch = sorted(words, key=len)
+    for run, budget in [(machine.kernel([w]), default_max_steps(len(w))) for w in words] + [
+            (machine.kernel(batch), default_max_steps(len(batch[-1])))]:
+        counters = 2 if isinstance(run, _blockca._BlockPlanes) else 0
+        for config in _evolve(run, run.start, budget):
+            for plane in config[: len(config) - counters]:
+                assert type(plane) is int and plane >= 0 and plane | run.cells == run.cells, (
+                    run.words[:3], config.index(plane))
+
+
 def single_runs(machine, words, max_steps=None):
     run = run_decider if machine.is_decider else run_acceptor
     return [(v.kind, v.steps) for v in (run(machine, w, max_steps=max_steps) for w in words)]

@@ -27,16 +27,16 @@ def test_tracer_patches_and_restores_every_hook(monkeypatch):
     assert (acaw.bench.run_decider, acaw.localtests.global_step) == before
 
 
-# lt is left out: its set-up writes tables under benchmarks/out/ and takes
-# far longer than the rest together.
-@pytest.mark.parametrize("name", ["sweep", "curves", "locality"])
-def test_traced_pass_answers_every_word(monkeypatch, name):
+@pytest.mark.parametrize("name", ["sweep", "curves", "lt", "locality"])
+def test_traced_pass_answers_every_word(monkeypatch, tmp_path, name):
     """A zoo builder, family or oracle that the benchmark can no longer use
-    fails here too."""
+    fails here too.  lt's set-up writes its expression files and tables
+    under ``workloads.OUT``, which points into ``tmp_path`` here."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))
     import tracing
     import workloads
 
+    monkeypatch.setattr(workloads, "OUT", tmp_path)
     workload = workloads.WORKLOADS[name]
     tally, _ = workloads.timed_pass(workload, workload.setup(7), tracing.Tracer())
     assert tally.attempted > 0 and tally.failed == 0, tally.errors

@@ -268,9 +268,20 @@ def test_idmat_membership_matches_its_block_definition():
 
 
 def test_generated_lengths():
+    """Each family's ``length(k)`` is its member's length, or raises as
+    ``generate`` does."""
     for k in range(1, 10):
         assert len(generate_bin(k)) == (k + 1) * 2**k - 1
         assert len(generate_idmat(k)) == k * k + k - 1
+    for family in FAMILIES.values():
+        for k in range(1, 13):
+            try:
+                word = family.generate(k)
+            except ParameterError:
+                with pytest.raises(ParameterError):
+                    family.length(k)
+                continue
+            assert family.length(k) == len(word), (family.name, k)
 
 
 def exhaustive_words(alphabet, max_len):
