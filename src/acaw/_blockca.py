@@ -31,8 +31,8 @@ The moving parts, all living in per-cell registers:
   for members with block length b.
 
 A cell that is ``dead`` and not ``ok`` never accepts again, as ``dead`` is
-never cleared and ``ok`` changes only under ``not dead``: the acceptors'
-``doomed`` face, at which untraced runs stop.  A counter word's last cell
+never cleared and ``ok`` changes only under ``not dead``, in both flavours:
+the ``doomed`` face, at which untraced runs stop.  A counter word's last cell
 also turns dead when its visit passes without accepting (a single block, or
 a last block that is not all ones or not an increment), since no visit
 comes back to it.
@@ -45,7 +45,10 @@ marker on a 1, so the word survives round r only if some block's first 1
 sits at position r-1.  Members are served through round b and accept before
 round b+1; any word surviving r rounds has pairwise-distinct blocks of
 lengths 1..r and is therefore quadratically long, which bounds rejection by
-roughly 6*sqrt(2n) steps.
+roughly 6*sqrt(2n) steps.  The census reads only the markers and the
+symbols, so each word's reject step is fixed by the word alone: a doomed
+decider word can only reject, there, and an untraced run of one ends with
+that step instead of stepping on to it.
 
 The rule builds its states positionally, for speed, so ``BCell``'s field
 order is part of the trace contract: a trace's configurations are these tuples.
@@ -70,7 +73,9 @@ whatever the words' lengths; the more while chains are still emitting or
 visits start.  It reads the run's masks from one tuple built with the run,
 and takes no complement with ``~`` (see :mod:`acaw._planes`).  Each word's
 verdicts are read at its spacer bit: every cell ok (accept), some clean
-marker on a 1 (no census rejection) and some doomed cell.  ``states``
+marker on a 1 (no census rejection) and some doomed cell.  A decider run
+reads every word's census reject step up front, from its step-1 markers, at
+under ten big-int operations per round (``census``).  ``states``
 decodes a one-word configuration to the same
 ``BCell`` tuples the rule builds, so traces are unchanged; ``_BlockRule``
 stays the reference the kernel is tested against, and the rule memo steps
@@ -272,7 +277,7 @@ def _accepting_decider(state) -> bool:
     return isinstance(state, BCell) and state.ok and state.phase != 1
 
 
-def _doomed_acceptor(state) -> bool:
+def _doomed(state) -> bool:
     return isinstance(state, BCell) and state.dead and not state.ok
 
 
@@ -340,8 +345,9 @@ class _BlockPlanes(SpacedWords):
         # block cells a census marker can hop into.  ``step`` reads them all
         # from this one tuple.
         f_pass = (firsts & s1) | (s0 ^ (s0 & firsts))
+        self.hop = b & lb
         self.constants = (cells, b, sh, s0, s1, firsts, lasts, past_sh, past_sh & s0,
-                          cells ^ past_sh, f_pass, b & lb, shift, decider)
+                          cells ^ past_sh, f_pass, self.hop, shift, decider)
         self.start = ()
 
     def step(self, config: tuple) -> tuple:
@@ -465,6 +471,30 @@ class _BlockPlanes(SpacedWords):
             return (config[_OK] + self.firsts) & self.spacers, 0  # self.every, inlined
         return 0, self.spacers ^ self.some(config[_MC] & self.s1)
 
+    @functools.cached_property
+    def census(self) -> list[tuple[int, int]]:
+        """A decider run's census rejections, read from the markers alone:
+        ``(step, bits)`` pairs in step order, the verdict bits of the words
+        whose census first finds no clean marker on a 1 at that step.
+
+        ``finality`` rejects a word on its ``mc`` and symbols only, and
+        ``step`` moves the markers on ``mc`` and ``hop`` only, so each word's
+        reject step is fixed by the word, whatever else the run does.  Each
+        round drops the clean markers on 1s, which soil, and hops the rest one
+        cell right; ``hop`` drops a marker at its block's end, so every word
+        is listed.
+        """
+        hop, s1, some = self.hop, self.s1, self.some
+        mc, open_, steps, rounds = self.one[_MC], self.spacers, 1, []
+        while open_:
+            m1 = mc & s1
+            rejected = open_ ^ (open_ & some(m1))
+            if rejected:
+                rounds.append((steps, rejected))
+                open_ ^= rejected
+            mc, steps = hop & ((mc ^ m1) << 1), steps + 6
+        return rounds
+
     def doomed(self, config: tuple) -> int:
         """The verdict bits of the words with a doomed cell."""
         if not config:
@@ -508,6 +538,6 @@ def block_automaton(name: str, compare: str, decider: bool) -> Automaton:
         accepting=_accepting_decider if decider else _accepting_acceptor,
         rejecting=_rejecting_decider if decider else None,
         states=None,
-        doomed=None if decider else _doomed_acceptor,
+        doomed=_doomed,
         kernel=functools.partial(_BlockPlanes, compare == SHIFT, decider),
     )

@@ -247,6 +247,12 @@ class VerifyReport:
 VERIFY_CHUNK = 4096
 
 
+# The most words a verify runs before it is refused.  It admits every ternary
+# word to length 13 (2,391,483) and every binary word to length 21; the next
+# ternary length, 14, has 7,174,452.
+MAX_VERIFY_WORDS = 5_000_000
+
+
 def _lex_chunks(alphabet: tuple, max_len: int) -> Iterator[list[str]]:
     """The words of lengths 1 to ``max_len``, shortest first and each length
     in lexicographic order, in chunks of :data:`VERIFY_CHUNK` words (the
@@ -266,6 +272,7 @@ def verify_equivalence(
     max_len: int,
     mode: str = "acceptor",
     max_steps: Optional[int] = None,
+    max_words: int = MAX_VERIFY_WORDS,
 ) -> VerifyReport:
     """Compare a machine against a membership predicate on all short words.
 
@@ -273,6 +280,8 @@ def verify_equivalence(
     timeout counting as a plain non-accept.  Decider mode demands the
     matching verdict on every word and treats any timeout as a mismatch,
     since a decider must always answer.  Mismatches come in word order.
+    More than ``max_words`` words, |Σ| + ... + |Σ|^max_len, are refused with
+    a :class:`ParameterError` before any runs.
 
     The words run through :func:`run_many`, one chunk at a time (see
     :data:`VERIFY_CHUNK`); a machine with a kernel steps each chunk as one
@@ -289,6 +298,14 @@ def verify_equivalence(
             raise ModeError(f"{automaton.name} is an acceptor")
     else:
         raise ParameterError(f"mode must be acceptor or decider, not {mode!r}")
+    size, count = len(automaton.input_alphabet), 0
+    for length in range(1, max_len + 1):  # stops soon after passing the budget
+        count += size**length
+        if count > max_words:
+            so_far = "" if length == max_len else f" already, of max_len {max_len}"
+            raise ParameterError(
+                f"{automaton.name}: {count:,} words to length {length}{so_far}, over the"
+                f" budget of {max_words:,} words; raise max_words")
     mismatches: list = []
     checked = 0
     for words in _lex_chunks(automaton.input_alphabet, max_len):

@@ -13,6 +13,7 @@ import sys
 
 from .bench import (
     MAX_MEMBER_LENGTH,
+    MAX_VERIFY_WORDS,
     fit_bound,
     measure_time_curve,
     read_rows,
@@ -38,7 +39,13 @@ from .localtests import (
     tabulate_by_observation,
 )
 from .rulefile import RuleFileError, file_lines, load_rule_table, read_text
-from .semigroups import idempotents, is_locally_semilattice, load_dfa, syntactic_semigroup
+from .semigroups import (
+    MAX_ELEMENTS,
+    idempotents,
+    is_locally_semilattice,
+    load_dfa,
+    syntactic_semigroup,
+)
 from .words import debruijn_contract
 from .zoo import FAMILIES, ORACLES, TABLE_SOURCES, ZOO, zoo_automaton
 
@@ -101,6 +108,7 @@ def _cmd_verify(args) -> int:
         args.max_len,
         mode=args.mode,
         max_steps=args.max_steps,
+        max_words=args.max_words,
     )
     if report.ok:
         print(f"ok: {report.words_checked} words to length {args.max_len} agree")
@@ -209,7 +217,7 @@ def _cmd_compile(args) -> int:
 
 def _cmd_semigroup(args) -> int:
     dfa = load_dfa(args.dfa)
-    semigroup = syntactic_semigroup(dfa)
+    semigroup = syntactic_semigroup(dfa, max_elements=args.max_elements)
     idem = idempotents(semigroup)
     print(f"{dfa.name}: {len(semigroup)} elements, {len(idem)} idempotents")
     if not args.check_lt:
@@ -271,6 +279,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=int, required=True)
     p.add_argument("--mode", choices=["acceptor", "decider"], default="acceptor")
     p.add_argument("--max-steps", type=int, default=None)
+    p.add_argument("--max-words", type=int, default=MAX_VERIFY_WORDS,
+                   help="refuse to check more than this many words (default %(default)s)")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("bench", help="measure a timing curve to CSV")
@@ -299,6 +309,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dfa", required=True, help="DFA file")
     p.add_argument("--check-lt", action="store_true",
                    help="also decide local testability")
+    p.add_argument("--max-elements", type=int, default=MAX_ELEMENTS,
+                   help="refuse a semigroup of more than this many elements"
+                        " (default %(default)s)")
     p.set_defaults(handler=_cmd_semigroup)
 
     p = sub.add_parser("contract", help="profile-preserving word contraction")

@@ -87,8 +87,10 @@ class Automaton:
 
     ``doomed``, an optional face, may hold only for a state that does not
     accept and that the rule maps to doomed states whatever its neighbours.
-    Untraced acceptor runs use it, and stop as a timeout once a cell is
-    doomed; traced runs and deciders ignore it.
+    Untraced runs use it.  An acceptor's run stops as a timeout once a cell
+    is doomed.  A decider's run on a kernel ends with the reject step its
+    kernel run's ``census`` gives, or as a timeout past its budget; on the
+    memo it ignores doom.  Traced runs ignore it.
 
     ``kernel``, optional, runs the machine without calling its rule or faces:
     ``kernel(words)`` takes a list of checked inputs (strings or tuples of
@@ -100,8 +102,11 @@ class Automaton:
     ``finality(config)`` gives two ints, the bits of the words that accept
     and of those that reject (as :func:`classify` judges each word's cells;
     none reject on an acceptor), and, on a machine with a doomed face,
-    ``doomed(config)`` the bits of the words with a doomed cell.  The block machines' kernel
-    is ``_blockca._BlockPlanes`` and the zoo's rule tables' comes from
+    ``doomed(config)`` the bits of the words with a doomed cell.  A decider
+    with a doomed face also gives ``census``: ``(step, bits)`` pairs in step
+    order, the bits of the words that ``finality`` first rejects at that
+    step, found without stepping the run and listing every word.  The block
+    machines' kernel is ``_blockca._BlockPlanes`` and the zoo's rule tables' comes from
     :func:`acaw.rulefile.table_kernel`; both lay their words out as
     :mod:`acaw._planes` does.  A one-word run also gives ``states(config)``,
     the cells' states as the rule would build them, and
@@ -575,7 +580,7 @@ def _run(
     collect_trace: bool,
 ) -> Verdict:
     """One run, stopped at its first final configuration, a repeat or the
-    budget, and on an untraced acceptor run also at a doomed cell.
+    budget, and on an untraced run also at a doomed cell.
 
     A traced run finds repeats by :func:`_evolve`'s exact history and reads
     its trace from it, so the trace ends just before the first repeat; an
@@ -584,11 +589,19 @@ def _run(
     steps, but never give a different verdict or step count: either stops
     only at a configuration equal to an earlier one, from where the run goes
     round configurations already found not final.
+
+    A doomed acceptor run is a timeout.  A doomed decider run can only
+    reject, so on a kernel it ends with the reject step its run's ``census``
+    gives, or as a timeout when that step is past the budget: a run that
+    rejects at all cannot repeat before it does.  A decider on the memo
+    has no census and ignores doom.
     """
     stepper, config, max_steps = _start(automaton, word, max_steps)
     # Doom is successor-closed, so looking only at steps 0, 1, 2, 4, ... stops
-    # a hopeless run at most twice as late, with no scan at every step.
-    doom = not (collect_trace or automaton.is_decider) and automaton.doomed is not None
+    # a hopeless run at most twice as late, with no scan at every step.  A
+    # decider on the memo has no census, so it ignores doom.
+    doom = automaton.doomed is not None and not collect_trace and (
+        automaton.kernel is not None or not automaton.is_decider)
     outcome, at = TIMEOUT, None
     history = {} if collect_trace else None  # the trace, once the run ends
     for steps, config in enumerate(_evolve(stepper, config, max_steps, history)):
@@ -597,6 +610,10 @@ def _run(
             outcome, at = (ACCEPT if accepted else REJECT), steps
             break
         if doom and not steps & (steps - 1) and stepper.doomed(config):
+            if automaton.is_decider:
+                ((reject, _),) = stepper.census
+                if reject <= max_steps:
+                    outcome, at = REJECT, reject
             break
     # Otherwise a timeout: the budget ran out, a repeat pinned the future orbit
     # to non-final configurations already classified, or a doomed cell bars
@@ -613,9 +630,11 @@ def run_many(
 
     Every word is checked before anything steps.  A machine with a kernel
     runs all the words as one run through :func:`_evolve`; each word keeps its
-    own budget (``max_steps``, or its length's default), stops at its own
-    verdict, and, on an acceptor with a doomed face, stops as a timeout once
-    one of its cells is doomed (looked for at steps 0, 1, 2, 4, ...).  The run
+    own budget (``max_steps``, or its length's default) and stops at its own
+    verdict.  On a machine with a doomed face, a word also stops once one of
+    its cells is doomed (looked for at steps 0, 1, 2, 4, ...): an acceptor's
+    as a timeout, a decider's with a reject at the step the run's ``census``
+    gives it, or as a timeout where that step is past its budget.  The run
     finds repeats by :func:`_evolve`'s anchor rule, as a single untraced run
     does.  A repeat of the whole run's configuration repeats each open
     word's, which pins the word to a cycle of configurations already found
@@ -666,23 +685,34 @@ def run_many(
         reads.append((order[first : first + count], spacers))
         first, low = first + count, high
     digits = f"0{width}b"
+    results: list = [(TIMEOUT, None)] * len(inputs)
+
+    def record(kind: str, steps: int, bits: int) -> None:
+        text, outcome = format(bits, digits), itertools.repeat((kind, steps))
+        for indices, spacers in reads:
+            flags = text[spacers]
+            if "1" in flags:
+                hits = itertools.compress(indices, flags.encode().translate(_BITS))
+                deque(map(results.__setitem__, hits, outcome), 0)
+
     run = automaton.kernel(batch)
     open_ = run.spacers
-    doom = not automaton.is_decider and automaton.doomed is not None
-    results: list = [(TIMEOUT, None)] * len(inputs)
+    decider, doom = automaton.is_decider, automaton.doomed is not None
     for steps, config in enumerate(_evolve(run, run.start, max(expiring))):
         accepted, rejected = run.finality(config)
         for kind, bits in ((ACCEPT, accepted & open_), (REJECT, rejected & open_)):
             if bits:
                 open_ ^= bits
-                text, outcome = format(bits, digits), itertools.repeat((kind, steps))
-                for indices, spacers in reads:
-                    flags = text[spacers]
-                    if "1" in flags:
-                        hits = itertools.compress(indices, flags.encode().translate(_BITS))
-                        deque(map(results.__setitem__, hits, outcome), 0)
+                record(kind, steps, bits)
         if doom and not steps & (steps - 1):
-            open_ ^= open_ & run.doomed(config)
+            doomed = open_ & run.doomed(config)
+            open_ ^= doomed
+            if decider and doomed:  # each can only reject, at its census step
+                for at, bits in run.census:
+                    bits &= doomed
+                    if bits:  # less the words whose budget ends first: they time out
+                        late = sum(m for budget, m in expiring.items() if budget < at)
+                        record(REJECT, at, bits ^ (bits & late))  # spans are disjoint
         open_ ^= open_ & expiring.get(steps, 0)
         if not open_:
             break

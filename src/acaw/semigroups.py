@@ -194,8 +194,17 @@ def _algebra(n: int):
     return bytes, lambda t, u: t.translate(u + pad)
 
 
-def _closure(dfa: Dfa):
-    """:func:`syntactic_semigroup`, encoded: ``({element: least word}, then)``."""
+# The most elements a closure builds before it is refused.  The 7-state,
+# 3-letter DFA whose letters generate every transformation has 823,543, which
+# take about 170 MB as bytes; at 8 states there would be 16,777,216.
+MAX_ELEMENTS = 1_000_000
+
+
+def _closure(dfa: Dfa, max_elements: int = MAX_ELEMENTS):
+    """:func:`syntactic_semigroup`, encoded: ``({element: least word}, then)``.
+
+    Raises :class:`ParameterError` once more than ``max_elements`` elements
+    are found, checked as each element is taken from the queue."""
     m = minimize(dfa)
     index = {s: i for i, s in enumerate(m.states)}
     encode, then = _algebra(len(m.states))
@@ -207,6 +216,10 @@ def _closure(dfa: Dfa):
         words.setdefault(t, a)
     queue = list(words)
     for t in queue:
+        if len(words) > max_elements:
+            raise ParameterError(
+                f"{dfa.name}: the syntactic semigroup passed the budget of"
+                f" {max_elements:,} elements ({len(words):,} found); raise max_elements")
         word = words[t]
         for a, letter in letters:
             u = then(t, letter)
@@ -236,13 +249,15 @@ def _semilattice_failure(elements: list, then) -> Optional[tuple]:
     return None
 
 
-def syntactic_semigroup(dfa: Dfa) -> Semigroup:
+def syntactic_semigroup(dfa: Dfa, max_elements: int = MAX_ELEMENTS) -> Semigroup:
     """The action semigroup of all non-empty words on the minimal DFA.
 
     Closure by breadth-first search from the single letters, so the stored
-    representative of each element is length-lexicographically least.
+    representative of each element is length-lexicographically least.  A
+    semigroup of more than ``max_elements`` elements is refused with a
+    :class:`ParameterError` naming the count reached.
     """
-    words, _ = _closure(dfa)
+    words, _ = _closure(dfa, max_elements)
     return Semigroup(
         elements=tuple(map(tuple, words)), words={tuple(t): w for t, w in words.items()}
     )
@@ -268,14 +283,15 @@ def is_locally_semilattice(semigroup: Semigroup):
     return False, tuple(decode[t] for t in triple)
 
 
-def is_locally_testable(dfa: Dfa):
+def is_locally_testable(dfa: Dfa, max_elements: int = MAX_ELEMENTS):
     """Whether the DFA's language is locally testable, with a witness on failure.
 
     The pair returned is ``(verdict, witness)``; the witness is ``None`` on
     success and otherwise a triple of representative words (e, x, y) from
-    :func:`is_locally_semilattice` on the syntactic semigroup.
+    :func:`is_locally_semilattice` on the syntactic semigroup.  The semigroup
+    is closed under the ``max_elements`` budget of :func:`syntactic_semigroup`.
     """
-    words, then = _closure(dfa)
+    words, then = _closure(dfa, max_elements)
     triple = _semilattice_failure(list(words), then)
     if triple is None:
         return True, None

@@ -193,6 +193,23 @@ def test_verify_equivalence_errors():
         verify_equivalence(acc, lambda w: True, 3, mode="oracle")
 
 
+def test_verify_equivalence_refuses_more_words_than_its_budget(monkeypatch):
+    """The word count |Σ| + ... + |Σ|^max_len is checked before anything
+    runs, so even a length no run could reach is refused at once."""
+    machine = zoo_automaton("pair01")
+    oracle = zoo.ORACLES["pair01"]
+    assert verify_equivalence(machine, oracle, 3, max_words=14).words_checked == 14
+    monkeypatch.setattr(bench, "run_many", None)  # a refused verify never runs a word
+    with pytest.raises(ParameterError, match=r"pair01: 14 words to length 3, over the"
+                                             r" budget of 13 words"):
+        verify_equivalence(machine, oracle, 3, max_words=13)
+    with pytest.raises(ParameterError, match=r"8,388,606 words to length 22 already, of"
+                                             r" max_len 1000000000, over the budget of 5,000,000"):
+        verify_equivalence(machine, oracle, 10**9)
+    # the default admits every ternary word to length 13, the idmat sweep's size
+    assert sum(3**n for n in range(1, 14)) <= bench.MAX_VERIFY_WORDS
+
+
 def test_verify_equivalence_names_the_pair01_oracle():
     report = verify_equivalence(zoo_automaton("pair01"), zoo.ORACLES["pair01"], 8)
     assert report.ok and report.oracle == "is_member_pair01"

@@ -45,6 +45,18 @@ trans: b 0 -> b
 trans: b 1 -> b
 """
 
+
+
+def full_transformation_dfa(n):
+    """A minimal n-state DFA whose letters, a cycle, a swap and a merge,
+    generate all n^n transformations of its states."""
+    moves = {"a": lambda i: (i + 1) % n, "b": lambda i: {0: 1, 1: 0}.get(i, i),
+             "c": lambda i: 0 if i == 1 else i}
+    return f"alphabet: a b c\nstates: {' '.join(f's{i}' for i in range(n))}\nstart: s0\n" \
+        "accept: s0\n" + "".join(f"trans: s{i} {a} -> s{move(i)}\n"
+                                 for i in range(n) for a, move in moves.items())
+
+
 SCANNER_PAIR = "k: 2\nalphabet: 0 1\npi: 01\nsigma: 01\nmu: 01 10\n"
 SCANNER_ALL0 = "k: 1\nalphabet: 0 1\npi: 0\nsigma: 0\nmu: 0\n"
 
@@ -163,6 +175,13 @@ def test_verify_mismatch(capsys):
     out = capsys.readouterr().out
     assert out.startswith("FAIL:")
     assert "machine says" in out
+
+
+def test_verify_refuses_more_words_than_max_words(capsys):
+    argv = ["verify", "--automaton", "zoo:pair01", "--oracle", "pair01", "--max-len", "3"]
+    assert main(argv + ["--max-words", "13"]) == 2
+    assert "14 words to length 3, over the budget of 13 words" in capsys.readouterr().err
+    assert main(argv + ["--max-words", "14"]) == 0
 
 
 def test_verify_unknown_oracle():
@@ -565,6 +584,15 @@ def test_semigroup_check_lt_closes_the_semigroup_once(tmp_path, capsys, monkeypa
         assert capsys.readouterr().out == want, name
         assert len(minimized) == 1, name
     assert kinds == {"yes", "x == y", "x != y"}
+
+
+def test_semigroup_refuses_more_elements_than_max_elements(tmp_path, capsys):
+    path = tmp_path / "full4.dfa"
+    path.write_text(full_transformation_dfa(4))
+    assert main(["semigroup", "--dfa", str(path), "--max-elements", "255"]) == 2
+    assert "passed the budget of 255 elements (256 found)" in capsys.readouterr().err
+    assert main(["semigroup", "--dfa", str(path), "--max-elements", "256"]) == 0
+    assert capsys.readouterr().out.startswith("full4: 256 elements")
 
 
 def test_contract_command(capsys):

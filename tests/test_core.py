@@ -645,9 +645,11 @@ def test_block_kernel_matches_the_rule_on_long_words(family, role):
         assert list(configurations(machine, word)) == reference_evolution(machine, word, budget)
 
 
-@pytest.mark.parametrize("family", ["idmat", "bin"])
-def test_block_kernel_doomed_matches_the_doomed_face(family):
-    machine = FAMILIES[family].acceptor()
+@pytest.mark.parametrize("family, role", [
+    ("idmat", "acceptor"), ("bin", "acceptor"), ("idmat", "decider")],
+    ids=["idmat", "bin", "idmat-decider"])
+def test_block_kernel_doomed_matches_the_doomed_face(family, role):
+    machine = getattr(FAMILIES[family], role)()
     for word in (w for n in range(1, 7) for w in itertools.product("01#", repeat=n)):
         run = machine.kernel([word])
         for config in _evolve(run, run.start, default_max_steps(len(word))):

@@ -226,6 +226,23 @@ def test_is_locally_testable_on_knowns():
     assert witness == ("0", "1", "1")
 
 
+def test_closure_refuses_more_elements_than_its_budget():
+    """The full transformation semigroup on 4 states has 256 elements: a
+    budget of 256 closes it, and one below is refused with the count reached,
+    by both routes that close a semigroup."""
+    cycle = {(i, "a"): (i + 1) % 4 for i in range(4)}
+    swap = {(i, "b"): {0: 1, 1: 0}.get(i, i) for i in range(4)}
+    merge = {(i, "c"): 0 if i == 1 else i for i in range(4)}
+    full = make_dfa("full4", 4, {0}, {**cycle, **swap, **merge}, alphabet=("a", "b", "c"))
+    assert len(syntactic_semigroup(full, max_elements=256)) == 256
+    for close in (syntactic_semigroup, is_locally_testable):
+        with pytest.raises(ParameterError, match=r"full4: the syntactic semigroup passed"
+                                                 r" the budget of 255 elements \(256 found\)"):
+            close(full, max_elements=255)
+        with pytest.raises(ParameterError, match="budget of 10 elements"):
+            close(full, max_elements=10)
+
+
 def full_scan(sg):
     """The semilattice check written plainly: every pair, in element order."""
     for e in idempotents(sg):

@@ -20,6 +20,7 @@ from acaw import (
     lemma1_hypothesis,
     run_acceptor,
     run_decider,
+    run_many,
     witness_word,
     zoo_automaton,
 )
@@ -152,15 +153,21 @@ def test_shift_visits_keep_fsm_e_and_ones_set(role):
     assert visits > 5000
 
 
-@pytest.mark.parametrize("family", ["idmat", "bin"])
-def test_doomed_face_is_successor_closed_on_reached_triples(family):
+DOOMED_MACHINES = pytest.mark.parametrize(
+    "family, role", [("idmat", "acceptor"), ("bin", "acceptor"), ("idmat", "decider")],
+    ids=["idmat", "bin", "idmat-decider"])
+
+
+@DOOMED_MACHINES
+def test_doomed_face_is_successor_closed_on_reached_triples(family, role):
     """No doomed state accepts, and every triple the runs stepped whose centre
     is doomed has a doomed output, whatever its flanks.  Runs step on the
     kernel and fill no memo, so the rule is stepped on every configuration of
     the traced runs, which cover the untraced runs' triples and more."""
-    machine = FAMILIES[family].acceptor()
+    machine = getattr(FAMILIES[family], role)()
+    run = run_decider if machine.is_decider else run_acceptor
     for word in ternary_words(7):
-        for config in run_acceptor(machine, word, collect_trace=True).trace.configurations:
+        for config in run(machine, word, collect_trace=True).trace.configurations:
             core.global_step(machine, config)
     runner = machine._runner
     doom, acc = runner.doom, runner.acc
@@ -170,40 +177,104 @@ def test_doomed_face_is_successor_closed_on_reached_triples(family):
     assert all(doom[out] for _, out in doomed_centres)
 
 
-@pytest.mark.parametrize("family", ["idmat", "bin"])
-def test_doomed_stop_keeps_every_verdict_and_step(family):
-    machine = FAMILIES[family].acceptor()
+@DOOMED_MACHINES
+def test_doomed_stop_keeps_every_verdict_and_step(family, role):
+    """A run that stops at a doomed cell gives the verdict and step of the run
+    that does not look for one; the decider's also under budgets that cut
+    some census rejections short."""
+    machine = getattr(FAMILIES[family], role)()
     blind = dataclasses.replace(machine, doomed=None)
+    run = run_decider if machine.is_decider else run_acceptor
     rng = random.Random(2024)
     words = ternary_words(7) + [FAMILIES[family].generate(k) for k in range(1, 6)]
     words += ["".join(rng.choices("01#", k=rng.randint(10, 40))) for _ in range(300)]
-    for word in words:
-        seen, want = run_acceptor(machine, word), run_acceptor(blind, word)
-        assert (seen.kind, seen.steps) == (want.kind, want.steps), word
+    for budget in (None, 7, 12) if machine.is_decider else (None,):
+        for word in words:
+            seen, want = run(machine, word, budget), run(blind, word, budget)
+            assert (seen.kind, seen.steps) == (want.kind, want.steps), (word, budget)
 
 
 def corrupt(word, pos, sym):
     return word[:pos] + sym + word[pos + 1 :]
 
 
-@pytest.mark.parametrize("family, word", [
-    ("idmat", "##" * 20),
-    ("idmat", corrupt(generate_idmat(5), 28, "0")),
-    ("idmat", corrupt(generate_idmat(6), 20, "0")),
-    ("idmat", corrupt(generate_idmat(7), 54, "0")),
-    ("bin", corrupt(generate_bin(5), 95, "0")),
-    ("bin", corrupt(generate_bin(5), 190, "0")),  # the last block is not all ones
-], ids=["separators", "idmat5", "idmat6", "idmat7", "bin5", "bin5-last"])
-def test_untraced_run_stops_within_twice_the_first_doomed_step(family, word, monkeypatch):
-    machine = FAMILIES[family].acceptor()
-    traced = run_acceptor(machine, word, collect_trace=True).trace.configurations
-    first = next(t for t, config in enumerate(traced) if any(map(machine.doomed, config)))
+@pytest.mark.parametrize("family, role, word", [
+    ("idmat", "acceptor", "##" * 20),
+    ("idmat", "acceptor", corrupt(generate_idmat(5), 28, "0")),
+    ("idmat", "acceptor", corrupt(generate_idmat(6), 20, "0")),
+    ("idmat", "acceptor", corrupt(generate_idmat(7), 54, "0")),
+    ("bin", "acceptor", corrupt(generate_bin(5), 95, "0")),
+    ("bin", "acceptor", corrupt(generate_bin(5), 190, "0")),  # the last block is not all ones
+    ("idmat", "decider", corrupt(generate_idmat(6), 20, "0")),
+    ("idmat", "decider", corrupt(generate_idmat(8), 30, "#")),
+    ("idmat", "decider", corrupt(generate_idmat(9), 5, "1")),
+], ids=["separators", "idmat5", "idmat6", "idmat7", "bin5", "bin5-last",
+        "idmat6-decider", "idmat8-decider", "idmat9-decider"])
+def test_untraced_run_stops_within_twice_the_first_doomed_step(family, role, word, monkeypatch):
+    """An untraced run stops at most twice as late as its first doomed cell,
+    with the traced run's verdict: a timeout for an acceptor, the census
+    reject for a decider, which the traced run reaches only later."""
+    machine = getattr(FAMILIES[family], role)()
+    run = run_decider if machine.is_decider else run_acceptor
+    traced = run(machine, word, collect_trace=True)
+    configs = traced.trace.configurations
+    first = next(t for t, config in enumerate(configs) if any(map(machine.doomed, config)))
     steps = []
     step = _blockca._BlockPlanes.step
     monkeypatch.setattr(_blockca._BlockPlanes, "step", lambda self, config: steps.append(config)
                         or step(self, config))
-    assert run_acceptor(machine, word).kind == TIMEOUT
-    assert first <= len(steps) <= 2 * first < len(traced) - 1
+    untraced = run(machine, word)
+    want = (REJECT, len(configs) - 1) if machine.is_decider else (TIMEOUT, None)
+    assert (untraced.kind, untraced.steps) == (traced.kind, traced.steps) == want
+    assert first <= len(steps) <= 2 * first < len(configs) - 1
+
+
+def first_rejects(run):
+    """``(step, bits)`` for each step at which some words of a kernel run
+    first reject, found by stepping the whole run with no stop but the last
+    word's reject."""
+    config, steps, open_, found = run.start, 0, run.spacers, []
+    while open_:
+        rejected = run.finality(config)[1] & open_
+        if rejected:
+            found.append((steps, rejected))
+            open_ ^= rejected
+        config, steps = run.step(config), steps + 1
+    return found
+
+
+def test_census_gives_each_words_first_reject_step():
+    """The idmat decider's census schedule, read from the markers alone, is
+    the first ``finality`` reject of each word when the whole kernel steps,
+    one word to a run and all words in one run.  A rejected word's run, doomed
+    or not, single or batched, rejects at that step, and times out under a
+    budget one step short, as the run that ignores doom does."""
+    machine = FAMILIES["idmat"].decider()
+    blind = dataclasses.replace(machine, doomed=None)
+    rng = random.Random(2626)
+    words = ["".join(w) for w in ternary_words(7)]
+    words += ["".join(rng.choices("01#", k=rng.randint(10, 120))) for _ in range(300)]
+    for k in range(1, 10):
+        member = generate_idmat(k)
+        words += [member] + [corrupt(member, rng.randrange(len(member)), sym)
+                             for _ in range(10) for sym in "01#"]
+    rejects = {}
+    for word in words:
+        run = machine.kernel([word])
+        assert run.census == first_rejects(run), word
+        rejects[word] = run.census[0][0]
+    batch = sorted(words, key=len)
+    assert machine.kernel(batch).census == first_rejects(machine.kernel(batch))
+
+    rejected = [w for w in words if run_decider(machine, w).kind == REJECT][::5]
+    for word in rejected:
+        for budget in (rejects[word] - 1, rejects[word]):
+            seen, want = run_decider(machine, word, budget), run_decider(blind, word, budget)
+            assert (seen.kind, seen.steps) == (want.kind, want.steps), (word, budget)
+        assert seen.steps == rejects[word]
+        assert run_decider(machine, word, rejects[word] - 1).kind == TIMEOUT
+    for budget in (7, 13, 19):
+        assert run_many(machine, rejected, budget) == run_many(blind, rejected, budget)
 
 
 def test_idmat_decider_is_total_and_fast_on_corruptions():
