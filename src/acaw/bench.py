@@ -256,12 +256,32 @@ MAX_VERIFY_WORDS = 5_000_000
 def _lex_chunks(alphabet: tuple, max_len: int) -> Iterator[list[str]]:
     """The words of lengths 1 to ``max_len``, shortest first and each length
     in lexicographic order, in chunks of :data:`VERIFY_CHUNK` words (the
-    last may be shorter)."""
+    last may be shorter).
+
+    Every length up to the last with at most VERIFY_CHUNK words is built
+    whole and kept; the longest of them, b, gives the suffix block.  A longer
+    length n is each word of length n - b, in order, followed by each word of
+    the block, joined by C-level maps.  So what is held at once is a chunk,
+    the kept lengths and the |Σ|^(n-b) prefixes, not a whole length.
+    """
     symbols = sorted(alphabet)
-    frontiers = itertools.accumulate(  # one list of words per length
-        range(1, max_len), lambda words, _: [w + s for w in words for s in symbols],
-        initial=symbols)
-    words = itertools.chain.from_iterable(frontiers)
+    kept = [[""], symbols]  # kept[n]: every word of length n
+    while len(kept) <= max_len and len(kept[-1]) * len(symbols) <= VERIFY_CHUNK:
+        kept.append([w + s for w in kept[-1] for s in symbols])
+    block = len(kept) - 1
+
+    def lex(n: int) -> Iterator[str]:
+        # The words of length n - q * b, from 1 to b, each followed by q
+        # blocks.  Not recursive: a closure that calls itself is a reference
+        # cycle, which would keep the kept lengths alive after the last chunk.
+        q = (n - 1) // block
+        words = kept[n - q * block]
+        for _ in range(q):
+            words = itertools.chain.from_iterable(
+                map(prefix.__add__, kept[block]) for prefix in list(words))
+        return iter(words)
+
+    words = itertools.chain.from_iterable(map(lex, range(1, max_len + 1)))
     while chunk := list(itertools.islice(words, VERIFY_CHUNK)):
         yield chunk
 

@@ -344,10 +344,13 @@ def observe(
     """Run every word to its fixed point and report the triples it used.
 
     Returns the states in first-seen order (the alphabet first, then word by
-    word in the given order and step by step, cells left to right) and the
-    rows ``(left, centre, right, output)`` as positions into that list, with
-    ``None`` for the border.  Each (left, centre, right) seen while any word
-    evolves gives one row, in no particular order.
+    word and step by step, cells left to right) and the rows ``(left,
+    centre, right, output)`` as positions into that list, with ``None`` for
+    the border.  The words are taken length by length, the lengths in the
+    order their first words come, and each length's words in the given
+    order: for words sorted by length that is the given order.  Each (left,
+    centre, right) seen while any word evolves gives one row, in no
+    particular order.
 
     The words of one length step together, as one configuration with a
     border cell between neighbours.  The border never changes, so each word
@@ -355,18 +358,17 @@ def observe(
     does not reach a fixed point within ``max_steps`` steps, naming the
     cycle when the words of one length repeat a configuration.
     """
-    runner = automaton._runner
+    # A fresh memo on the machine's interner: its keys are then exactly the
+    # triples these words use, and each state's faces still run only once.
+    runner = _Runner(automaton, automaton._runner.table.states)
     groups: dict[int, list] = {}  # length -> the words' cells, borders between
-    placed = []  # per word: its length and its first cell in that group
     for word in words:
         ids = tuple(map(runner.intern, initial_configuration(automaton, word)))
         if not ids:
             raise EmptyInputError(f"{automaton.name}: no run on the empty word")
-        cells = groups.setdefault(len(ids), [])
-        placed.append((len(ids), len(cells)))
-        cells.extend(ids + (0,))
-    histories = {}
-    triples: set = set()
+        groups.setdefault(len(ids), []).extend(ids + (0,))
+    order = dict.fromkeys(map(runner.intern, automaton.input_alphabet))
+    flat = itertools.chain.from_iterable
     for length, cells in groups.items():
         history: dict = {}  # configuration -> its step
         for config in _evolve(runner, tuple(cells[:-1]), max_steps, history):
@@ -382,16 +384,14 @@ def observe(
                 f" from step {repeat}")
             raise ParameterError(f"{automaton.name}: no fixed point within {max_steps}"
                                  f" steps; not tabulatable{cycle}")
-        for config in history:
-            triples.update(zip((0,) + config, config, config[1:] + (0,)))
-        histories[length] = history
-    order = dict.fromkeys(map(runner.intern, automaton.input_alphabet))
-    for length, start in placed:
-        cut = operator.itemgetter(slice(start, start + length))
-        order.update(dict.fromkeys(itertools.chain.from_iterable(map(cut, histories[length]))))
-    del histories  # the stored configurations are the largest thing held
+        # Each step's configuration cut into its words, each with its border
+        # cell after it; zipped over the steps, word by word, step by step.
+        per_step = [zip(*[iter(config + (0,))] * (length + 1)) for config in history]
+        order.update(dict.fromkeys(flat(flat(zip(*per_step)))))
+        del history, per_step  # the stored configurations are the largest thing held
+    order.pop(0, None)  # the border cells between words
     position = {sid: i for i, sid in enumerate(order)}  # get() gives the border None
-    keys = list(filter(operator.itemgetter(1), triples))  # drop border centres
+    keys = list(filter(operator.itemgetter(1), runner.table))  # drop border centres
     outputs = map(runner.table.__getitem__, keys)
     rows = list(zip(*[map(position.get, column) for column in (*zip(*keys), outputs)]))
     return list(map(runner.objs.__getitem__, order)), rows
@@ -458,12 +458,13 @@ class _Runner:
     memo and ``outputs`` are the only callers of a machine's rule, and the
     interner (``intern``) of its faces.  They keep those callables, not the
     machine, so a machine and its cached runner form no cycle and are freed
-    together.
+    together.  Given a machine's interner (``states``), a runner shares it
+    and keeps a memo of its own, as :func:`observe` does.
     """
 
-    def __init__(self, automaton: Automaton):
+    def __init__(self, automaton: Automaton, states: Optional[_States] = None):
         self.rule = automaton.rule
-        states = _States(automaton)
+        states = _States(automaton) if states is None else states
         self.table = _Memo(automaton.name, automaton.rule, states)
         self.intern = states.__getitem__
         self.objs, self.acc, self.rej = states.objs, states.acc, states.rej

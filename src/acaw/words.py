@@ -18,6 +18,7 @@ from .core import (
     TIMEOUT,
     Automaton,
     BudgetError,
+    EmptyInputError,
     ModeError,
     ParameterError,
     global_step,  # unused here; benchmarks/tracing.py wraps this module attribute
@@ -129,10 +130,13 @@ def debruijn_contract(word: str, kappa: int) -> ContractionReport:
 
     The result is deterministic and the same as a breadth-first search for
     every jump.  It is never longer than the input, and its length is at
-    most (kappa-1) + m*m for m distinct infixes.
+    most (kappa-1) + m*m for m distinct infixes.  The empty word has no walk
+    and is refused with :class:`EmptyInputError`.
     """
     if kappa < 1:
         raise ParameterError("window length must be at least 1")
+    if not word:
+        raise EmptyInputError("contraction takes a non-empty word")
     if len(word) <= kappa:
         m = len(infix_set(word, kappa))
         return ContractionReport(word, word, kappa, m, (kappa - 1) + m * m)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -230,6 +231,27 @@ def test_lex_chunks_pack_consecutive_lengths(monkeypatch):
     chunks = list(bench._lex_chunks(("1", "0"), 3))
     assert list(map(len, chunks)) == [5, 5, 4]
     words = ["".join(w) for n in range(1, 4) for w in itertools.product("01", repeat=n)]
+    assert list(itertools.chain.from_iterable(chunks)) == words
+
+
+def test_lex_chunks_hold_a_chunk_not_a_whole_length(monkeypatch):
+    """The chunker keeps a chunk, the lengths of at most a chunk's words and
+    one length's prefixes, not a whole length: ternary length 9 alone is
+    19,683 words, over a megabyte, and the traced peak stays under 256 kB.
+    Its words are the words of every length in length and then
+    lexicographic order, with lengths 7 to 9 built from prefixes and a
+    suffix block."""
+    monkeypatch.setattr(bench, "VERIFY_CHUNK", 27)
+    tracemalloc.start()
+    try:
+        sizes = [len(chunk) for chunk in bench._lex_chunks(("2", "0", "1"), 9)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+    words = ["".join(w) for n in range(1, 10) for w in itertools.product("012", repeat=n)]
+    assert sizes == [27] * (len(words) // 27) + [len(words) % 27]
+    chunks = bench._lex_chunks(("2", "0", "1"), 9)
     assert list(itertools.chain.from_iterable(chunks)) == words
 
 

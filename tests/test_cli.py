@@ -603,6 +603,13 @@ def test_contract_command(capsys):
     assert main(["contract", "--word", "01", "--kappa", "0"]) == 2
 
 
+def test_contract_refuses_the_empty_word(capsys):
+    assert main(["contract", "--word", "", "--kappa", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "contraction takes a non-empty word" in captured.err
+
+
 def test_zoo_build(tmp_path, capsys):
     out = tmp_path / "pair01.tbl"
     assert main(["zoo", "build", "pair01", "--out", str(out)]) == 0

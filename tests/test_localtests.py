@@ -4,7 +4,7 @@ import itertools
 import pathlib
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from acaw import (
     ACCEPT,
@@ -128,6 +128,89 @@ def reference_scan(scanner, word):
         and word[-k:] in scanner.sigma
         and infixes <= scanner.mu
     )
+
+
+def reference_eval(expr, word):
+    """The definitional value of an expression: every child evaluated, with
+    no short cut, and each leaf by ``reference_scan``."""
+    if expr.op == "scanner":
+        return reference_scan(expr.scanner, word)
+    values = [reference_eval(child, word) for child in expr.children]
+    if expr.op == "not":
+        return not values[0]
+    return any(values) if expr.op == "or" else all(values)
+
+
+@st.composite
+def random_scanners(draw, alphabet, name):
+    """A scanner of width 1 to 3; each of its sets is every window but a
+    drawn third at most, so that it accepts some longer words."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    windows = ["".join(t) for t in itertools.product(alphabet, repeat=k)]
+    some = st.sets(st.sampled_from(windows), max_size=len(windows) // 3 + 1).map(frozenset)
+    return Scanner(k=k, alphabet=alphabet, pi=frozenset(windows) - draw(some),
+                   sigma=frozenset(windows) - draw(some), mu=frozenset(windows) - draw(some),
+                   name=name)
+
+
+def scan_words(alphabet):
+    """Words of length 1 to 8, half of them with a symbol outside the alphabet."""
+    inside = st.text(alphabet=alphabet, min_size=1, max_size=8)
+    outside = st.text(alphabet=alphabet + ("x", "3"), min_size=1, max_size=8)
+    return st.one_of(inside, outside)
+
+
+def assert_same_answer(call, word, alphabet, name, reference):
+    """``call()`` answers as ``reference()`` does on a word in the alphabet,
+    and raises the AlphabetError that names scanner ``name`` on any other."""
+    extra = sorted(set(word) - set(alphabet))
+    if not extra:
+        assert call() == reference()
+        return
+    with pytest.raises(AlphabetError) as info:
+        call()
+    assert str(info.value) == f"{name}: symbols {extra} outside the alphabet"
+
+
+@given(st.sampled_from([BITS, ("0", "1", "2")]).flatmap(
+    lambda alphabet: st.tuples(random_scanners(alphabet, "drawn"), scan_words(alphabet))))
+@settings(max_examples=300)
+def test_scanner_accepts_matches_the_definition(case):
+    scanner, word = case
+    assert_same_answer(lambda: scanner_accepts(scanner, word), word, scanner.alphabet,
+                       "drawn", lambda: reference_scan(scanner, word))
+
+
+@st.composite
+def random_expressions(draw):
+    """An expression over one to three drawn scanners of one alphabet, and
+    a word for it."""
+    alphabet = draw(st.sampled_from([BITS, ("0", "1", "2")]))
+    count = draw(st.integers(min_value=1, max_value=3))
+    leaves = [lt_scanner(draw(random_scanners(alphabet, f"leaf{i}"))) for i in range(count)]
+    subtrees = st.recursive(
+        st.sampled_from(leaves),
+        lambda children: st.one_of(
+            children.map(lt_not),
+            st.lists(children, min_size=1, max_size=3).map(lambda kids: lt_or(*kids)),
+            st.lists(children, min_size=1, max_size=3).map(lambda kids: lt_and(*kids)),
+        ),
+        max_leaves=4,
+    )
+    join = draw(st.sampled_from([lt_or, lt_and]))
+    expr = join(*draw(st.lists(subtrees, min_size=1, max_size=3)))
+    return lt_not(expr) if draw(st.booleans()) else expr, draw(scan_words(alphabet))
+
+
+@given(random_expressions())
+@settings(max_examples=300)
+def test_lt_eval_matches_the_definition(case):
+    """Short cuts in ``or`` and ``and`` change no value; a word outside the
+    alphabet is refused by the first leaf, which is always evaluated."""
+    expr, word = case
+    first = expr.leaves()[0]
+    assert_same_answer(lambda: lt_eval(expr, word), word, first.alphabet, first.name,
+                       lambda: reference_eval(expr, word))
 
 
 def test_scanner_semantics_brute_force():
@@ -632,6 +715,17 @@ def test_compiled_cells_keep_a_checkpoint_and_leaf_bits_after_gathering(expr):
         assert 0 <= checkpoint < checkpoints and 0 <= holds < 2**m, state
 
 
+def test_tabulate_reads_only_its_own_probes_triples():
+    """Runs made on a machine before it is tabulated leave no rows in its
+    table: the probes of length 2 do not reach every triple that a word of
+    length 10 uses, and the table is the fresh machine's all the same."""
+    used, fresh = compile_lt_to_daca(TABLE_EXPR), compile_lt_to_daca(TABLE_EXPR)
+    assert run_decider(used, "0110101101").kind == REJECT
+    short = tabulate_by_observation(used, 2)
+    assert short == tabulate_by_observation(fresh, 2)
+    assert short != tabulate_by_observation(fresh, 6)
+
+
 def test_tabulate_errors():
     machine = compile_slt_union_to_aca([ALL0])
     with pytest.raises(ParameterError):
@@ -801,6 +895,28 @@ ENDS0 = Scanner(
 )
 
 
+# Shaped like the benchmark's seeded lt expressions: a window-2 expression
+# over three leaves with a negation, and a ternary window-1 one over two.
+SEEDED_W2 = [
+    Scanner(k=2, alphabet=BITS, pi=frozenset({"00", "01", "11"}),
+            sigma=frozenset({"01", "10", "11"}), mu=frozenset({"00", "01", "10"}), name="w2a"),
+    Scanner(k=1, alphabet=BITS, pi=frozenset({"0", "1"}), sigma=frozenset({"1"}),
+            mu=frozenset({"0", "1"}), name="w1b"),
+    Scanner(k=2, alphabet=BITS, pi=frozenset({"10", "11"}), sigma=frozenset({"00", "10"}),
+            mu=frozenset({"00", "10", "11"}), name="w2c"),
+]
+SEEDED_T1 = [
+    Scanner(k=1, alphabet=TRITS, pi=frozenset({"0", "1"}), sigma=frozenset({"1", "2"}),
+            mu=frozenset(TRITS), name="t1a"),
+    Scanner(k=1, alphabet=TRITS, pi=frozenset({"0", "2"}), sigma=frozenset(TRITS),
+            mu=frozenset({"0", "1"}), name="t1b"),
+]
+SEEDED_W2_EXPR = lt_or(
+    lt_and(lt_scanner(SEEDED_W2[0]), lt_not(lt_scanner(SEEDED_W2[1]))), lt_scanner(SEEDED_W2[2])
+)
+SEEDED_T1_EXPR = lt_not(lt_and(lt_scanner(SEEDED_T1[0]), lt_scanner(SEEDED_T1[1])))
+
+
 @pytest.mark.parametrize(
     "machine, gather",
     [
@@ -808,8 +924,11 @@ ENDS0 = Scanner(
         (compile_lt_to_daca(TABLE_EXPR), 2),
         (compile_slt_union_to_aca(WIDE_UNIONS[0]), 3),
         (compile_lt_to_daca(lt_or(lt_not(lt_scanner(NO2)), lt_scanner(ENDS0))), 1),
+        (compile_lt_to_daca(SEEDED_W2_EXPR), 2),
+        (compile_lt_to_daca(SEEDED_T1_EXPR), 1),
     ],
-    ids=["lt-window1", "lt-window2", "slt-window3", "lt-ternary"],
+    ids=["lt-window1", "lt-window2", "slt-window3", "lt-ternary", "lt-window2-seeded",
+         "lt-ternary-seeded"],
 )
 def test_tabulate_matches_the_per_word_reference(machine, gather):
     # Line lists: pytest points at the first differing line without diffing

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from acaw import (
     BudgetError,
     ContractionReport,
+    EmptyInputError,
     ModeError,
     ParameterError,
     debruijn_contract,
@@ -173,9 +174,9 @@ def test_debruijn_contract_equals_one_search_per_target():
     breadth-first search per target gives, and the corpus reaches each of
     its cases: a run of first visits, a jump of at most kappa steps, a jump
     searched for, and a final node that needs no path."""
-    corpus = [("".join(w), k) for n in range(12) for w in itertools.product("01", repeat=n)
+    corpus = [("".join(w), k) for n in range(1, 12) for w in itertools.product("01", repeat=n)
               for k in range(1, 5)]
-    corpus += [("".join(w), k) for n in range(8) for w in itertools.product("012", repeat=n)
+    corpus += [("".join(w), k) for n in range(1, 8) for w in itertools.product("012", repeat=n)
                for k in range(1, 4)]
     corpus += repetitive_words(18, 1500)
     seen = set()
@@ -205,6 +206,13 @@ def test_debruijn_contract_shrinks_repetition():
 def test_debruijn_contract_rejects_bad_kappa():
     with pytest.raises(ParameterError):
         debruijn_contract("0101", 0)
+
+
+@pytest.mark.parametrize("kappa", [1, 2, 5])
+def test_debruijn_contract_refuses_the_empty_word(kappa):
+    """The empty word has no walk to contract, as it has no run."""
+    with pytest.raises(EmptyInputError, match="^contraction takes a non-empty word$"):
+        debruijn_contract("", kappa)
 
 
 def test_critical_contract_keeps_decision_slow():
