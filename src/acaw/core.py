@@ -354,20 +354,26 @@ def observe(
 
     The words of one length step together, as one configuration with a
     border cell between neighbours.  The border never changes, so each word
-    evolves as it would alone.  Raises :class:`ParameterError` when some word
-    does not reach a fixed point within ``max_steps`` steps, naming the
-    cycle when the words of one length repeat a configuration.
+    evolves as it would alone.  A symbol outside the alphabet or an empty
+    word is refused as a run refuses it.  Raises :class:`ParameterError`
+    when some word does not reach a fixed point within ``max_steps`` steps,
+    naming the cycle when the words of one length repeat a configuration.
     """
     # A fresh memo on the machine's interner: its keys are then exactly the
     # triples these words use, and each state's faces still run only once.
     runner = _Runner(automaton, automaton._runner.table.states)
+    symbol_ids = {s: runner.intern(s) for s in automaton.input_alphabet}
     groups: dict[int, list] = {}  # length -> the words' cells, borders between
     for word in words:
-        ids = tuple(map(runner.intern, initial_configuration(automaton, word)))
+        try:
+            ids = tuple(map(symbol_ids.__getitem__, word))
+        except KeyError as missing:  # the first symbol outside the alphabet
+            _symbols(automaton, missing.args)  # raises its AlphabetError
+            raise
         if not ids:
             raise EmptyInputError(f"{automaton.name}: no run on the empty word")
         groups.setdefault(len(ids), []).extend(ids + (0,))
-    order = dict.fromkeys(map(runner.intern, automaton.input_alphabet))
+    order = dict.fromkeys(symbol_ids.values())
     flat = itertools.chain.from_iterable
     for length, cells in groups.items():
         history: dict = {}  # configuration -> its step

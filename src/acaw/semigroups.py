@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable
 
 from .core import ParameterError
 from .rulefile import RuleFileError, read_directives, read_text
@@ -31,6 +31,13 @@ class Dfa:
     transitions: dict = field(hash=False)  # (state, letter) -> state
 
     def __post_init__(self):
+        if not self.alphabet:
+            raise ParameterError(f"{self.name}: empty alphabet")
+        for a in self.alphabet:
+            if not isinstance(a, str) or len(a) != 1:
+                raise ParameterError(f"{self.name}: letter {a!r} is not one character")
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ParameterError(f"{self.name}: duplicate letters")
         state_set = set(self.states)
         if len(state_set) != len(self.states):
             raise ParameterError(f"{self.name}: duplicate state names")
@@ -162,25 +169,6 @@ def minimize(dfa: Dfa) -> Dfa:
     )
 
 
-@dataclass(frozen=True)
-class Semigroup:
-    """A transformation semigroup with one representative word per element.
-
-    Elements are tuples t with t[i] the state index reached from state i by
-    the representative word; multiplication is concatenation of words, so
-    (t * u)[i] = u[t[i]].
-    """
-
-    elements: tuple
-    words: dict = field(hash=False)  # element -> shortest representative
-
-    def mult(self, t: tuple, u: tuple) -> tuple:
-        return tuple(u[i] for i in t)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-
 def _algebra(n: int):
     """``(encode, then)`` for transformations of ``n`` states.
 
@@ -194,17 +182,42 @@ def _algebra(n: int):
     return bytes, lambda t, u: t.translate(u + pad)
 
 
+@dataclass(frozen=True)
+class Semigroup:
+    """A transformation semigroup with one representative word per element.
+
+    Elements stay as :func:`_algebra` encodes them (bytes up to 256 states), so
+    ``tuple(t)[i]`` is the state index that t's word reaches from state i;
+    ``mult`` is :func:`_algebra`'s ``then``, concatenation of words.
+    """
+
+    words: dict = field(hash=False)  # element -> least representative word
+    mult: Callable = field(compare=False, repr=False)  # (t, u) -> t then u
+
+    @property
+    def elements(self) -> tuple:
+        """The elements in the order the closure found them."""
+        return tuple(self.words)
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+
 # The most elements a closure builds before it is refused.  The 7-state,
 # 3-letter DFA whose letters generate every transformation has 823,543, which
 # take about 170 MB as bytes; at 8 states there would be 16,777,216.
 MAX_ELEMENTS = 1_000_000
 
 
-def _closure(dfa: Dfa, max_elements: int = MAX_ELEMENTS):
-    """:func:`syntactic_semigroup`, encoded: ``({element: least word}, then)``.
+def syntactic_semigroup(dfa: Dfa, max_elements: int = MAX_ELEMENTS) -> Semigroup:
+    """The action semigroup of all non-empty words on the minimal DFA.
 
-    Raises :class:`ParameterError` once more than ``max_elements`` elements
-    are found, checked as each element is taken from the queue."""
+    Closure by breadth-first search from the single letters, so the stored
+    representative of each element is length-lexicographically least.  A
+    semigroup of more than ``max_elements`` elements is refused with a
+    :class:`ParameterError` naming the count reached, checked as each element
+    is taken from the queue.
+    """
     m = minimize(dfa)
     index = {s: i for i, s in enumerate(m.states)}
     encode, then = _algebra(len(m.states))
@@ -226,11 +239,24 @@ def _closure(dfa: Dfa, max_elements: int = MAX_ELEMENTS):
             if u not in words:
                 words[u] = word + a
                 queue.append(u)
-    return words, then
+    return Semigroup(words, then)
 
 
-def _semilattice_failure(elements: list, then) -> Optional[tuple]:
-    """The first (e, x, y) of :func:`is_locally_semilattice`'s scan, or None."""
+def idempotents(semigroup: Semigroup) -> list:
+    then = semigroup.mult
+    return [e for e in semigroup.words if then(e, e) == e]
+
+
+def is_locally_semilattice(semigroup: Semigroup):
+    """Check every local semigroup e S e for the semilattice laws.
+
+    Returns ``(True, None)`` or ``(False, (e, x, y))`` where e is an
+    idempotent and x, y expose the failure: either exe is not idempotent
+    (then x == y) or exe and eye do not commute.  The triple is of the
+    semigroup's own elements, the first failure in element order.
+    """
+    then = semigroup.mult
+    elements = semigroup.words.keys()
     for e in elements:
         if then(e, e) != e:
             continue
@@ -242,57 +268,22 @@ def _semilattice_failure(elements: list, then) -> Optional[tuple]:
         items = list(local.items())
         for i, (a, x) in enumerate(items):
             if then(a, a) != a:
-                return e, x, x
+                return False, (e, x, x)
             for b, y in items[i + 1:]:
                 if then(a, b) != then(b, a):
-                    return e, x, y
-    return None
-
-
-def syntactic_semigroup(dfa: Dfa, max_elements: int = MAX_ELEMENTS) -> Semigroup:
-    """The action semigroup of all non-empty words on the minimal DFA.
-
-    Closure by breadth-first search from the single letters, so the stored
-    representative of each element is length-lexicographically least.  A
-    semigroup of more than ``max_elements`` elements is refused with a
-    :class:`ParameterError` naming the count reached.
-    """
-    words, _ = _closure(dfa, max_elements)
-    return Semigroup(
-        elements=tuple(map(tuple, words)), words={tuple(t): w for t, w in words.items()}
-    )
-
-
-def idempotents(semigroup: Semigroup) -> list:
-    return [e for e in semigroup.elements if semigroup.mult(e, e) == e]
-
-
-def is_locally_semilattice(semigroup: Semigroup):
-    """Check every local semigroup e S e for the semilattice laws.
-
-    Returns ``(True, None)`` or ``(False, (e, x, y))`` where e is an
-    idempotent and x, y expose the failure: either exe is not idempotent
-    (then x == y) or exe and eye do not commute.
-    """
-    elements = semigroup.elements
-    encode, then = _algebra(len(elements[0]) if elements else 0)
-    decode = {encode(t): t for t in elements}
-    triple = _semilattice_failure(list(decode), then)
-    if triple is None:
-        return True, None
-    return False, tuple(decode[t] for t in triple)
+                    return False, (e, x, y)
+    return True, None
 
 
 def is_locally_testable(dfa: Dfa, max_elements: int = MAX_ELEMENTS):
     """Whether the DFA's language is locally testable, with a witness on failure.
 
-    The pair returned is ``(verdict, witness)``; the witness is ``None`` on
-    success and otherwise a triple of representative words (e, x, y) from
-    :func:`is_locally_semilattice` on the syntactic semigroup.  The semigroup
-    is closed under the ``max_elements`` budget of :func:`syntactic_semigroup`.
+    :func:`is_locally_semilattice` on :func:`syntactic_semigroup` (under its
+    ``max_elements`` budget), the same closure and scan that ``acaw semigroup
+    --check-lt`` runs.  The pair returned is ``(verdict, witness)``; the
+    witness is ``None`` on success and otherwise the representative words of
+    the failing triple (e, x, y).
     """
-    words, then = _closure(dfa, max_elements)
-    triple = _semilattice_failure(list(words), then)
-    if triple is None:
-        return True, None
-    return False, tuple(words[t] for t in triple)
+    semigroup = syntactic_semigroup(dfa, max_elements)
+    ok, triple = is_locally_semilattice(semigroup)
+    return ok, triple and tuple(map(semigroup.words.__getitem__, triple))

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from acaw import (
 )
 from acaw import cli, semigroups
 from acaw.semigroups import (
-    idempotents, is_locally_testable, minimize, parse_dfa, syntactic_semigroup,
+    idempotents, is_locally_testable, load_dfa, minimize, parse_dfa, syntactic_semigroup,
 )
 from acaw.cli import main
 from acaw.zoo import FAMILIES, TABLE_SOURCES, ZOO, zoo_automaton
@@ -584,6 +585,30 @@ def test_semigroup_check_lt_closes_the_semigroup_once(tmp_path, capsys, monkeypa
         assert capsys.readouterr().out == want, name
         assert len(minimized) == 1, name
     assert kinds == {"yes", "x == y", "x != y"}
+
+
+def test_semigroup_check_lt_holds_one_closure_of_memory(tmp_path, capsys):
+    """``--check-lt`` keeps the closure's elements as they are, so its traced
+    peak on the 46,656 elements of the 6-state full transformation DFA stays
+    near the classifier's, which closes the same semigroup."""
+    path = tmp_path / "full6.dfa"
+    path.write_text(full_transformation_dfa(6))
+
+    def traced_peak(call):
+        tracemalloc.start()
+        try:
+            result = call()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    (ok, witness), classifier = traced_peak(lambda: is_locally_testable(load_dfa(path)))
+    code, command = traced_peak(lambda: main(["semigroup", "--dfa", str(path), "--check-lt"]))
+    assert not ok and code == 1
+    assert capsys.readouterr().out == "full6: 46656 elements, {} idempotents\n" \
+        "locally testable: no\nwitness e={!r} x={!r} y={!r}\n".format(
+            len(idempotents(syntactic_semigroup(load_dfa(path)))), *witness)
+    assert command <= 1.5 * classifier, (command, classifier)
 
 
 def test_semigroup_refuses_more_elements_than_max_elements(tmp_path, capsys):

@@ -60,7 +60,8 @@ def test_initial_configuration_checks_alphabet():
     with pytest.raises(AlphabetError, match=message):
         initial_configuration(a, "01" * 25_000 + "x" + "1")
     word = "01" * 25_000 + "x"
-    for check in (initial_configuration, run_acceptor, lambda a, w: run_many(a, ["01", w])):
+    for check in (initial_configuration, run_acceptor, lambda a, w: run_many(a, ["01", w]),
+                  lambda a, w: core.observe(a, ["01", w], 10)):
         with pytest.raises(AlphabetError, match=message):
             check(a, word)
 
@@ -84,6 +85,16 @@ def test_alphabet_check_reads_a_string_by_its_characters():
         initial_configuration(a, ("ab", "a"))
     with pytest.raises(AlphabetError, match=r"^multi: input symbol 'abc' is not in the alphabet$"):
         run_many(a, [("c",), ("abc", "c")])
+    for words in (["c", "cab"], [("c",), iter(("c", "a", "ab"))]):
+        with pytest.raises(AlphabetError, match=message):
+            core.observe(a, words, 10)
+
+
+def test_observe_refuses_the_empty_word():
+    a = make_shift()
+    for empty in ("", (), iter("")):
+        with pytest.raises(EmptyInputError, match=r"^shift: no run on the empty word$"):
+            core.observe(a, ["01", empty], 10)
 
 
 def test_global_step_shifts():

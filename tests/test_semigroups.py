@@ -66,6 +66,22 @@ def test_dfa_validation():
         Dfa("bad", ("0",), ("s", "s"), "s", frozenset(), {("s", "0"): "s"})
 
 
+@pytest.mark.parametrize(
+    "alphabet, message",
+    [
+        ((), r"^bad: empty alphabet$"),
+        (("ab", "b"), r"^bad: letter 'ab' is not one character$"),
+        (("0", ""), r"^bad: letter '' is not one character$"),
+        (("0", "0"), r"^bad: duplicate letters$"),
+    ],
+    ids=["empty", "two-characters", "no-character", "duplicate"],
+)
+def test_dfa_refuses_letters_that_are_not_single_characters(alphabet, message):
+    transitions = {("s", a): "s" for a in alphabet}
+    with pytest.raises(ParameterError, match=message):
+        Dfa("bad", alphabet, ("s",), "s", frozenset(), transitions)
+
+
 def test_dfa_accepts():
     assert dfa_accepts(SOMEONE, "0010")
     assert not dfa_accepts(SOMEONE, "0000")
@@ -182,14 +198,17 @@ def dfa_action(dfa, word):
 def test_syntactic_semigroup_is_closed_and_faithful(dfa):
     m = minimize(dfa)
     sg = syntactic_semigroup(dfa)
+    actions = {tuple(t) for t in sg.elements}
+    assert len(actions) == len(sg)
     for t in sg.elements:
-        assert dfa_action(m, sg.words[t]) == t
+        assert dfa_action(m, sg.words[t]) == tuple(t)
         for u in sg.elements:
             assert sg.mult(t, u) in set(sg.elements)
+            assert tuple(sg.mult(t, u)) == tuple(tuple(u)[i] for i in tuple(t))
     # every action of a short word is in the semigroup
     for w in words("01", 4):
         if w:
-            assert dfa_action(m, w) in set(sg.elements)
+            assert dfa_action(m, w) in actions
 
 
 def test_semigroup_sizes_on_knowns():
@@ -269,13 +288,15 @@ def test_semilattice_check_finds_the_full_scans_first_failure(dfa):
 @pytest.mark.parametrize("n", [3, 256, 257, 300])
 def test_counter_semigroup_past_256_states(n):
     # '1' counts mod n and '0' stays: the cyclic group of order n, which is
-    # not locally testable.  Past 256 states elements cannot be bytes.
+    # not locally testable.  Elements are bytes up to 256 states; past 256
+    # they cannot be, and are tuples.
     counter = make_dfa(
         f"mod{n}", n, {0}, {(i, a): (i + int(a)) % n for i in range(n) for a in "01"}
     )
     sg = syntactic_semigroup(counter)
+    encoded = bytes if n <= 256 else tuple
     assert len(sg) == n
-    assert all(type(t) is tuple and len(t) == n for t in sg.elements)
-    assert sg.words[tuple(range(n))] == "0"
+    assert all(type(t) is encoded and len(t) == n for t in sg.elements)
+    assert sg.words[encoded(range(n))] == "0"
     assert is_locally_testable(counter) == (False, ("0", "1", "1"))
     assert is_locally_semilattice(sg) == full_scan(sg)
