@@ -18,11 +18,12 @@ negative operand copies and complements its digits.  On 700-bit planes
 40,000-bit planes, 0.36, 0.44 and 2.2 us (CPython 3.11, one x86-64 Xeon
 core).
 
-:func:`acaw.core.run_many` hands a kernel its words sorted by length, so
-the words of one length n are one span: equal strides of n + 1 bits, the
-spacer last in each.  It finds a word's spacer from the span's first
-spacer and the stride, and reads all of a span's verdict bits as one
-strided slice of a digit string, so a run keeps no per-word positions.
+The batch loop behind :func:`acaw.core.run_many` and
+:func:`acaw.core.verdict_masks` hands a kernel its words sorted by length,
+so the words of one length n are one span: equal strides of n + 1 bits,
+the spacer last in each.  A word's spacer is the span's first spacer plus
+a multiple of the stride, and all of a span's verdict bits are one strided
+slice of a digit string, so a run keeps no per-word positions.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import operator
 import pathlib
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Optional
@@ -30,7 +29,7 @@ from .core import (
     ParameterError,
     run_acceptor,
     run_decider,
-    run_many,
+    verdict_masks,
 )
 
 CSV_HEADER = ("family", "k", "n", "verdict", "steps")
@@ -241,10 +240,14 @@ class VerifyReport:
         return not self.mismatches
 
 
-# The most words one run_many call of verify_equivalence takes, so a run
-# keeps only a chunk's verdicts at a time.  A chunk may hold words of several
+# The most words verify_equivalence runs as one batch, so a run keeps only
+# a chunk's verdicts at a time.  A chunk may hold words of several
 # consecutive lengths, so short words step in one run with longer ones.
 VERIFY_CHUNK = 4096
+
+
+# Bytes 0 and 1, an oracle's answers, to the digits "0" and "1".
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 # The most words a verify runs before it is refused.  It admits every ternary
@@ -303,10 +306,14 @@ def verify_equivalence(
     More than ``max_words`` words, |Σ| + ... + |Σ|^max_len, are refused with
     a :class:`ParameterError` before any runs.
 
-    The words run through :func:`run_many`, one chunk at a time (see
-    :data:`VERIFY_CHUNK`); a machine with a kernel steps each chunk as one
-    run.  Each chunk is scored by C-level maps over its
-    verdict kinds and oracle bits, so only the oracle runs Python per word.
+    The words run one chunk at a time (see :data:`VERIFY_CHUNK`) through
+    :func:`~acaw.core.verdict_masks`, on the batch loop that
+    :func:`~acaw.core.run_many` shares: one run per chunk on a machine with
+    a kernel, word by word on others.  A chunk comes back as two ints, the
+    bits of its accepted and of its rejected words, and the oracle's answers
+    become a third, so a few big-int operations score the chunk.  Only the
+    mismatches are read word by word, and only the oracle runs Python on
+    every word.
     """
     if max_len < 1:
         raise ParameterError("max_len must be >= 1")
@@ -329,13 +336,14 @@ def verify_equivalence(
     mismatches: list = []
     checked = 0
     for words in _lex_chunks(automaton.input_alphabet, max_len):
-        kinds = list(map(operator.itemgetter(0), run_many(automaton, words, max_steps)))
-        wants = list(map(bool, map(oracle, words)))
-        if mode == "acceptor":
-            bad = map(operator.ne, map(ACCEPT.__eq__, kinds), wants)
-        else:  # the verdict a member or a non-member must get
-            bad = map(operator.ne, kinds, map((REJECT, ACCEPT).__getitem__, wants))
-        mismatches += itertools.compress(zip(words, kinds, wants), bad)
+        accepted, rejected = verdict_masks(automaton, words, max_steps)
+        # The oracle's answers, bit i the i-th word, as accepted and rejected are.
+        wants = int(bytes(map(bool, map(oracle, words)))[::-1].translate(_DIGITS), 2)
+        bad = accepted ^ wants  # a member not accepted, or a non-member accepted
+        if mode == "decider":  # also a non-member not rejected, a timeout included
+            bad |= rejected ^ wants ^ ((1 << len(words)) - 1)
+        if bad:
+            mismatches += _mismatches(words, bad, accepted, rejected, wants)
         checked += len(words)
     return VerifyReport(
         automaton=automaton.name,
@@ -345,3 +353,19 @@ def verify_equivalence(
         words_checked=checked,
         mismatches=mismatches,
     )
+
+
+def _mismatches(
+    words: list, bad: int, accepted: int, rejected: int, wants: int
+) -> Iterator[tuple[str, str, bool]]:
+    """``(word, verdict kind, oracle bit)`` for each word whose bit is set in
+    ``bad``, in word order; the other ints give the verdict and the oracle's
+    answer, bit i the i-th word."""
+    digits = f"0{len(words)}b"
+    bad, accepted, rejected, wants = (
+        format(bits, digits)[::-1] for bits in (bad, accepted, rejected, wants))
+    at = bad.find("1")
+    while at >= 0:
+        kind = ACCEPT if accepted[at] == "1" else REJECT if rejected[at] == "1" else TIMEOUT
+        yield words[at], kind, wants[at] == "1"
+        at = bad.find("1", at + 1)

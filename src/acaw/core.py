@@ -17,7 +17,7 @@ import itertools
 import operator
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Optional
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional
 
 ACCEPT = "accept"
 REJECT = "reject"
@@ -629,11 +629,21 @@ def _run(
     return Verdict(outcome, at, trace)
 
 
-def run_many(
-    automaton: Automaton, words: Iterable[Iterable[str]], max_steps: Optional[int] = None
-) -> list[tuple[str, Optional[int]]]:
-    """Each word's ``(kind, steps)``, as :func:`run_acceptor` or
-    :func:`run_decider` (by the machine's mode) gives them untraced.
+class _Batch(NamedTuple):
+    """One untraced run of many words side by side, as :func:`_batch` makes it."""
+
+    events: list  # (kind, steps, bits): the spacers of the words with that verdict
+    reads: list  # per span: its words' input positions and their spacers' slice
+    digits: str  # the format of the run's bits as one digit string, bit 0 last
+    count: int  # the words
+    in_order: bool  # the words came sorted by length, so the spans keep their order
+
+
+def _batch(
+    automaton: Automaton, words: Iterable[Iterable[str]], max_steps: Optional[int]
+) -> _Batch:
+    """Every word's untraced run, as events on one layout: the batch loop
+    that :func:`run_many` and :func:`verdict_masks` read.
 
     Every word is checked before anything steps.  A machine with a kernel
     runs all the words as one run through :func:`_evolve`; each word keeps its
@@ -646,14 +656,16 @@ def run_many(
     does.  A repeat of the whole run's configuration repeats each open
     word's, which pins the word to a cycle of configurations already found
     not final, so each is a timeout, as its single run would be.  Other
-    machines run word by word.
+    machines run word by word, on the same layout.
 
     The run lays the words out by length, shortest first and in the given
     order within a length, so each length's words are one span of bits:
     word j of a span of n-symbol words has its spacer at the span's first
     spacer plus j * (n + 1).  A budget depends only on the length and
     grows with it, so a span's words expire together, and an event's words
-    are one strided slice of its bits per span.
+    are one strided slice of its bits per span.  An event ``(kind, steps,
+    bits)`` holds the spacer bits of the words whose verdict is ``kind`` at
+    ``steps``; a word is in one event at most, and a timeout in none.
     """
     inputs = list(words)
     try:
@@ -668,11 +680,9 @@ def run_many(
     if not clean or (ordered and not ordered[0]):
         for word in inputs:
             _checked(automaton, word, max_steps)  # raises at the first bad word
-    if automaton.kernel is None or not inputs:
-        verdicts = (_run(automaton, word, max_steps, False) for word in inputs)
-        return [(v.kind, v.steps) for v in verdicts]
-    if ordered == lengths:
-        order, batch = list(range(len(inputs))), inputs
+    in_order = ordered == lengths
+    if in_order:
+        order, batch = range(len(inputs)), inputs
     else:
         order = sorted(range(len(inputs)), key=lengths.__getitem__)
         batch = list(map(inputs.__getitem__, order))
@@ -691,39 +701,101 @@ def run_many(
         spacers = slice(width - 1 - low - n, width - 1 - high if high < width else None, -n - 1)
         reads.append((order[first : first + count], spacers))
         first, low = first + count, high
-    digits = f"0{width}b"
-    results: list = [(TIMEOUT, None)] * len(inputs)
+    events: list = []
+    if automaton.kernel is None:
+        # Each word alone; the words of one verdict and step count share an
+        # event, built as one digit string.
+        groups: dict = {}
+        spacer = -1
+        for word in batch:
+            spacer += len(word) + 1
+            verdict = _run(automaton, word, max_steps, False)
+            if verdict.kind != TIMEOUT:
+                key = verdict.kind, verdict.steps
+                if key not in groups:
+                    groups[key] = bytearray(b"0" * width)
+                groups[key][width - 1 - spacer] = ord("1")
+        events = [(kind, steps, int(text, 2)) for (kind, steps), text in groups.items()]
+    elif inputs:
+        run = automaton.kernel(batch)
+        open_ = run.spacers
+        decider, doom = automaton.is_decider, automaton.doomed is not None
+        for steps, config in enumerate(_evolve(run, run.start, max(expiring))):
+            accepted, rejected = run.finality(config)
+            for kind, bits in ((ACCEPT, accepted & open_), (REJECT, rejected & open_)):
+                if bits:
+                    open_ ^= bits
+                    events.append((kind, steps, bits))
+            if doom and not steps & (steps - 1):
+                doomed = open_ & run.doomed(config)
+                open_ ^= doomed
+                if decider and doomed:  # each can only reject, at its census step
+                    for at, bits in run.census:
+                        bits &= doomed
+                        if bits:  # less the words whose budget ends first: they time out
+                            late = sum(m for budget, m in expiring.items() if budget < at)
+                            events.append((REJECT, at, bits ^ (bits & late)))  # spans are disjoint
+            open_ ^= open_ & expiring.get(steps, 0)
+            if not open_:
+                break
+    return _Batch(events, reads, f"0{width}b", len(inputs), in_order)
 
-    def record(kind: str, steps: int, bits: int) -> None:
-        text, outcome = format(bits, digits), itertools.repeat((kind, steps))
-        for indices, spacers in reads:
+
+def run_many(
+    automaton: Automaton, words: Iterable[Iterable[str]], max_steps: Optional[int] = None
+) -> list[tuple[str, Optional[int]]]:
+    """Each word's ``(kind, steps)``, as :func:`run_acceptor` or
+    :func:`run_decider` (by the machine's mode) gives them untraced.
+
+    The words run through the batch loop :func:`_batch`, which
+    :func:`verdict_masks` shares: on a machine with a kernel as one run, each
+    word with its own budget, and otherwise word by word.  Every word is
+    checked before anything steps.  Each of the run's events is read back
+    per span, as one strided slice of its bits, into its words' tuples.
+    """
+    batch = _batch(automaton, words, max_steps)
+    results: list = [(TIMEOUT, None)] * batch.count
+    for kind, steps, bits in batch.events:
+        text, outcome = format(bits, batch.digits), itertools.repeat((kind, steps))
+        for indices, spacers in batch.reads:
             flags = text[spacers]
             if "1" in flags:
                 hits = itertools.compress(indices, flags.encode().translate(_BITS))
                 deque(map(results.__setitem__, hits, outcome), 0)
-
-    run = automaton.kernel(batch)
-    open_ = run.spacers
-    decider, doom = automaton.is_decider, automaton.doomed is not None
-    for steps, config in enumerate(_evolve(run, run.start, max(expiring))):
-        accepted, rejected = run.finality(config)
-        for kind, bits in ((ACCEPT, accepted & open_), (REJECT, rejected & open_)):
-            if bits:
-                open_ ^= bits
-                record(kind, steps, bits)
-        if doom and not steps & (steps - 1):
-            doomed = open_ & run.doomed(config)
-            open_ ^= doomed
-            if decider and doomed:  # each can only reject, at its census step
-                for at, bits in run.census:
-                    bits &= doomed
-                    if bits:  # less the words whose budget ends first: they time out
-                        late = sum(m for budget, m in expiring.items() if budget < at)
-                        record(REJECT, at, bits ^ (bits & late))  # spans are disjoint
-        open_ ^= open_ & expiring.get(steps, 0)
-        if not open_:
-            break
     return results
+
+
+def verdict_masks(
+    automaton: Automaton, words: Iterable[Iterable[str]], max_steps: Optional[int] = None
+) -> tuple[int, int]:
+    """The words that accept and the words that reject, as two ints whose bit
+    i is the i-th word: each word's verdict as :func:`run_many` gives it,
+    from the same batch loop, with no per-word tuple.
+
+    The run's events are ORed by kind, and each of the two is read back in
+    word order once.  A word in neither timed out; an acceptor's second int
+    is 0.
+    """
+    batch = _batch(automaton, words, max_steps)
+    masks = {ACCEPT: 0, REJECT: 0}
+    for kind, _, bits in batch.events:
+        masks[kind] |= bits
+    return _word_bits(batch, masks[ACCEPT]), _word_bits(batch, masks[REJECT])
+
+
+def _word_bits(batch: _Batch, bits: int) -> int:
+    """The words whose spacer is set in ``bits``, the run's bits, as an int
+    whose bit i is the i-th given word."""
+    if not bits:
+        return 0
+    text = format(bits, batch.digits)
+    flags = "".join([text[spacers] for _, spacers in batch.reads])  # in layout order
+    if not batch.in_order:
+        placed = [""] * batch.count
+        positions = itertools.chain.from_iterable(indices for indices, _ in batch.reads)
+        deque(map(placed.__setitem__, positions, flags), 0)
+        flags = "".join(placed)
+    return int(flags[::-1], 2)
 
 
 def run_acceptor(

@@ -31,6 +31,12 @@ from functools import partial
 from typing import Iterator, NamedTuple, Optional
 
 _TABULATE_STEP_CEILING = 10_000
+# The most probe words a tabulation runs, |Σ| + ... + |Σ|^probe_len; more are
+# refused before any runs.  The largest probe set of the tests and demos is
+# 1,022 words, and of the lt benchmark 363.  A binary scanner of width 11,
+# the widest admitted, has 65,534; each width more doubles the probes and
+# about doubles the tabulation's memory.
+_PROBE_BUDGET = 1 << 16
 # The schedule search reads the expression on every verdict vector, 2^m of
 # them for m distinct leaves; more are refused before anything is built.
 _SEARCH_BUDGET = 1 << 12
@@ -651,7 +657,9 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
     :func:`~acaw.rulefile.face_lists` a table that would not load: colliding
     names (an input symbol named ``s0``), a reserved name (an input symbol
     ``*``), a state that both accepts and rejects, an empty accept set, or a
-    decider's empty reject set.
+    decider's empty reject set.  More than ``_PROBE_BUDGET`` probe words,
+    |Σ| + ... + |Σ|^probe_len, are refused with a :class:`ParameterError`
+    before any runs.
     """
     if probe_len < 1:
         raise ParameterError("probe length must be >= 1")
@@ -661,6 +669,14 @@ def tabulate_by_observation(automaton: Automaton, probe_len: int, name: str = No
             f"{_TABULATE_STEP_CEILING}-step tabulation ceiling; not tabulatable"
         )
     alphabet = tuple(automaton.input_alphabet)
+    count = 0
+    for length in range(1, probe_len + 1):  # stops soon after passing the budget
+        count += len(alphabet) ** length
+        if count > _PROBE_BUDGET:
+            so_far = "" if length == probe_len else f" already, of probe length {probe_len}"
+            raise ParameterError(
+                f"{automaton.name}: {count:,} probe words to length {length}{so_far},"
+                f" over the budget of {_PROBE_BUDGET:,} words; not tabulatable")
     lengths = range(1, probe_len + 1)
     probes = (word for n in lengths for word in itertools.product(alphabet, repeat=n))
     states, rows = observe(automaton, probes, _TABULATE_STEP_CEILING)

@@ -203,19 +203,29 @@ def critical_contract(decider: Automaton, word: str, i: int) -> str:
     border alignment, so those cells evolve identically for j steps and the
     decision on the result again takes more than ``i`` steps; that property
     and the length bound 2*(i+1)**2 are asserted on every call.
+
+    From step n - 1 on, for a word of n symbols, every neighborhood covers
+    the whole word.  So at most min(i, n - 1) steps are traced, and for a
+    larger ``i`` one untraced run to step ``i`` tells whether the word is
+    decided in time; if not, the witness is the word itself.
     """
     if not decider.is_decider:
         raise ModeError(f"{decider.name} is an acceptor; contraction needs a decider")
     if i < 0:
         raise ParameterError("step budget must be non-negative")
 
-    opens = leftmost_open(decider, word, i)
-    if None in opens[-1]:
+    n = len(word)
+    opens = leftmost_open(decider, word, min(i, n - 1))
+    decided = len(opens) - 1 if None in opens[-1] else None
+    if decided is None and i >= n:
+        decided = run_decider(decider, word, max_steps=i).steps  # None for a timeout
+        if decided is None:
+            return word
+    if decided is not None:
         raise BudgetError(
-            f"{decider.name} decides {word!r} in {len(opens) - 1} steps; need more than {i}"
+            f"{decider.name} decides {word!r} in {decided} steps; need more than {i}"
         )
 
-    n = len(word)
     keep: set[int] = set()
     for j, centres in enumerate(opens):
         for centre in centres:

@@ -24,7 +24,7 @@ from acaw import (
     write_rows,
     zoo_automaton,
 )
-from acaw import bench, zoo
+from acaw import bench, core, zoo
 
 
 def test_csv_round_trip(tmp_path):
@@ -200,7 +200,7 @@ def test_verify_equivalence_refuses_more_words_than_its_budget(monkeypatch):
     machine = zoo_automaton("pair01")
     oracle = zoo.ORACLES["pair01"]
     assert verify_equivalence(machine, oracle, 3, max_words=14).words_checked == 14
-    monkeypatch.setattr(bench, "run_many", None)  # a refused verify never runs a word
+    monkeypatch.setattr(bench, "verdict_masks", None)  # a refused verify never runs a word
     with pytest.raises(ParameterError, match=r"pair01: 14 words to length 3, over the"
                                              r" budget of 13 words"):
         verify_equivalence(machine, oracle, 3, max_words=13)
@@ -282,3 +282,54 @@ def test_verify_equivalence_reports_a_word_by_word_loops_mismatches(kernel, monk
     flipped = lambda w: "1" not in w
     want = [(w, run_decider(decider, w).kind, flipped(w)) for w in words]
     assert verify_equivalence(decider, flipped, 8, mode="decider").mismatches == want
+
+
+def word_by_word_mismatches(machine, oracle, max_len, mode, max_steps):
+    """The mismatches of ``verify_equivalence``, from one single run per word."""
+    run = run_decider if mode == "decider" else run_acceptor
+    alphabet = sorted(machine.input_alphabet)
+    mismatches = []
+    for n in range(1, max_len + 1):
+        for word in map("".join, itertools.product(alphabet, repeat=n)):
+            kind, want = run(machine, word, max_steps=max_steps).kind, bool(oracle(word))
+            if mode == "decider":
+                wrong = kind != (ACCEPT if want else REJECT)
+            else:
+                wrong = (kind == ACCEPT) != want
+            if wrong:
+                mismatches.append((word, kind, want))
+    return mismatches
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize(
+    "name, mode, max_steps, oracle",
+    [("idmat", "decider", 6, "idmat"), ("idmat", "decider", 12, "idmat"),
+     ("idmat", "decider", 18, "idmat"), ("idmat", "decider", "2n+1", "idmat"),
+     ("bin", "acceptor", None, "idmat"), ("bin", "acceptor", 5, "idmat")],
+)
+def test_verify_equivalence_scores_its_masks_as_a_word_by_word_loop(
+    name, mode, max_steps, oracle, kernel, monkeypatch
+):
+    """Chunks of 7 words straddle lengths.  The idmat decider's census
+    rejects come at steps 7 and 13 on these words, so budgets of 6 and 12
+    steps turn some of them into timeouts, and so does a default budget of
+    2n + 1 steps on the lengths it leaves short of them.  bin's acceptor
+    times out on doomed words, idmat's members among them.  With or without
+    a kernel, the mismatches are a word-by-word loop's, in word order."""
+    monkeypatch.setattr(bench, "VERIFY_CHUNK", 7)
+    if max_steps == "2n+1":
+        monkeypatch.setattr(core, "default_max_steps", lambda n: 2 * n + 1)
+        max_steps = None
+    machine = zoo_automaton(name, decider=mode == "decider")
+    if not kernel:
+        machine = dataclasses.replace(machine, kernel=None)
+    oracle = zoo.ORACLES[oracle]
+    want = word_by_word_mismatches(machine, oracle, 6, mode, max_steps)
+    report = verify_equivalence(machine, oracle, 6, mode=mode, max_steps=max_steps)
+    assert report.words_checked == sum(3**n for n in range(1, 7))
+    assert report.mismatches == want
+    if max_steps == 18:  # every idmat word this short is decided within 18 steps
+        assert report.ok
+    else:
+        assert any(kind == TIMEOUT for _, kind, _ in want)

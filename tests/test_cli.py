@@ -471,6 +471,28 @@ def test_compile_lt_window4_negation_is_fast(tmp_path, capsys):
         assert (run_decider(table, word).kind == ACCEPT) == (len(word) < 4 or "1" in word), word
 
 
+
+@pytest.mark.parametrize("kind", ["slt", "lt"])
+def test_compile_refuses_more_probe_words_than_its_budget(tmp_path, capsys, kind):
+    """A k = 20 scanner would need every binary word to length 24 as probes,
+    33,554,430 of them; the count is refused before any probe runs."""
+    (tmp_path / "a20.scan").write_text(scanner_file(20, "01", "0" * 20, "0" * 20, "0" * 20))
+    spec = tmp_path / "a20.scan"
+    if kind == "lt":
+        spec = tmp_path / "not-a20.lt"
+        spec.write_text("let a20 = a20.scan\n(not a20)\n")
+    out = tmp_path / "a20.tbl"
+    start = time.perf_counter()
+    assert main(["compile", kind, "--spec", str(spec), "--out", str(out)]) == 2
+    assert time.perf_counter() - start < 0.5
+    machine = "slt-union" if kind == "slt" else "lt-decider"
+    assert capsys.readouterr().err == (
+        f"error: {machine}: 131,070 probe words to length 16 already, of probe length 24,"
+        " over the budget of 65,536 words; not tabulatable\n"
+    )
+    assert not out.exists()
+
+
 def test_compile_lt_refuses_13_distinct_leaves(tmp_path, capsys):
     windows = ["00", "01", "10", "11"]
     mus = [c for size in (1, 2, 3) for c in itertools.combinations(windows, size)][:13]

@@ -798,6 +798,29 @@ def test_run_many_checks_every_span_before_stepping(name, decider, monkeypatch):
     assert steps == []
 
 
+
+@pytest.mark.parametrize("name, decider", SPAN_MACHINES)
+@pytest.mark.parametrize("kernel", [True, False])
+def test_verdict_masks_read_run_manys_verdicts_in_word_order(name, decider, kernel):
+    """Bit i of the two masks is the i-th word's accept or reject, as
+    ``run_many`` gives it, for shuffled mixed lengths with tuple words among
+    them as for words sorted by length, on the kernel and word by word."""
+    machine = zoo_automaton(name, decider=decider)
+    if not kernel:
+        machine = dataclasses.replace(machine, kernel=None)
+    alphabet = "".join(machine.input_alphabet)
+    rng = random.Random(2901)
+    mixed = ["".join(rng.choices(alphabet, k=rng.randint(1, 14))) for _ in range(120)]
+    mixed += [tuple(word) for word in mixed[:10]]
+    rng.shuffle(mixed)
+    for words in (mixed, sorted(mixed, key=len), [mixed[0]], []):
+        for max_steps in (None, 0, 3):
+            kinds = [kind for kind, _ in run_many(machine, words, max_steps)]
+            masks = core.verdict_masks(machine, words, max_steps)
+            for mask, kind in zip(masks, (ACCEPT, REJECT)):
+                assert mask == sum(1 << i for i, k in enumerate(kinds) if k == kind)
+
+
 def test_run_many_stops_on_a_repeat_of_the_whole_run(monkeypatch):
     """These bin words never get a doomed cell and each settles into a fixed
     point, so the run stops when its whole configuration repeats, long

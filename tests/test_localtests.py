@@ -735,6 +735,23 @@ def test_tabulate_errors():
         tabulate_by_observation(compile_slt_union_to_aca([]), probe_len=3)
 
 
+
+def test_tabulate_refuses_more_probe_words_than_its_budget(monkeypatch):
+    """|Σ| + ... + |Σ|^probe_len is counted before any probe runs: a count
+    at the budget is tabulated, and one over it is refused, even at a probe
+    length no run could reach."""
+    machine = compile_slt_union_to_aca([ALL0])
+    monkeypatch.setattr(localtests, "_PROBE_BUDGET", 14)
+    assert tabulate_by_observation(machine, probe_len=3)  # 2 + 4 + 8 probe words
+    monkeypatch.setattr(localtests, "observe", None)  # a refused tabulation runs nothing
+    with pytest.raises(ParameterError, match=r"^slt-union: 30 probe words to length 4, over"
+                                             r" the budget of 14 words; not tabulatable$"):
+        tabulate_by_observation(machine, probe_len=4)
+    with pytest.raises(ParameterError, match=r"^slt-union: 30 probe words to length 4 already,"
+                                             r" of probe length 1000000000, over the budget"):
+        tabulate_by_observation(machine, probe_len=10**9)
+
+
 def test_tabulate_refuses_an_empty_reject_set():
     """A decider whose reachable states never reject would be written with an
     empty ``reject:`` line, which does not load."""

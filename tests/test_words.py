@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from collections import deque
 
 import pytest
@@ -18,6 +19,7 @@ from acaw import (
     critical_contract,
     infix_set,
     lemma1_hypothesis,
+    leftmost_open,
     lemma7_hypothesis,
     parse_rule_table,
     prefix_of,
@@ -264,6 +266,86 @@ def test_critical_contract_on_a_decider_that_cycles(table, word, i, short):
     """The engine stops a run at its first repeat; the witness still reads
     the configurations up to step ``i``, continuing the orbit."""
     assert critical_contract(parse_rule_table(table, name="cycles"), word, i) == short
+
+
+
+# Every state stays as it is: no run ever decides.
+IDENTITY = """\
+alphabet: 0 1
+states: 0 1 a r
+accept: a
+reject: r
+default: center
+"""
+# Every cell walks 0/1 -> c -> d -> e -> a whatever its neighbours: every
+# run accepts at step 4, past step n - 1 on words of up to 4 symbols.
+LATE = """\
+alphabet: 0 1
+states: 0 1 c d e a r
+accept: a
+reject: r
+default: center
+rule: * 0 * -> c
+rule: * 1 * -> c
+rule: * c * -> d
+rule: * d * -> e
+rule: * e * -> a
+"""
+
+
+def reference_critical_contract(decider, word, i):
+    """``critical_contract`` as a loop over every step up to ``i``: the
+    witness, or the BudgetError text of a word decided within ``i``."""
+    opens = leftmost_open(decider, word, i)
+    if None in opens[-1]:
+        return f"{decider.name} decides {word!r} in {len(opens) - 1} steps; need more than {i}"
+    keep = set()
+    for j, centres in enumerate(opens):
+        for centre in centres:
+            keep.update(range(max(0, centre - j), min(len(word), centre + j + 1)))
+    return "".join(word[z] for z in sorted(keep))
+
+
+def test_critical_contract_returns_an_undecided_word_itself_past_its_length():
+    """From step n - 1 every kept neighbourhood is the whole word, so a
+    budget of 10^9 steps traces no more than n - 1 and takes milliseconds."""
+    identity = parse_rule_table(IDENTITY, name="identity")
+    start = time.perf_counter()
+    assert critical_contract(identity, "0110", 10**9) == "0110"
+    assert time.perf_counter() - start < 0.5
+    late = parse_rule_table(LATE, name="late")
+    with pytest.raises(BudgetError, match=r"^late decides '01' in 4 steps; need more than"
+                                          r" 1000000000$"):
+        critical_contract(late, "01", 10**9)
+
+
+@pytest.mark.parametrize(
+    "machine", ["idmat", "someone", "blinker", "counter", "late"],
+)
+def test_critical_contract_matches_a_loop_over_every_step(machine):
+    """On seeded words and every budget from 0 to n + 2, the witness or the
+    BudgetError text is the loop's, on the kernels and on the memo."""
+    decider = {
+        "idmat": lambda: zoo_automaton("idmat", decider=True),
+        "someone": lambda: zoo_automaton("someone", decider=True),
+        "blinker": lambda: parse_rule_table(BLINKER, name="blinker"),
+        "counter": lambda: parse_rule_table(COUNTER, name="counter"),
+        "late": lambda: parse_rule_table(LATE, name="late"),
+    }[machine]()
+    rng = random.Random(2902)
+    alphabet = sorted(decider.input_alphabet)
+    words = ["".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(40)]
+    if machine == "idmat":  # members and near-members, which take longest
+        words += ["#".join("0" * j + "1" + "0" * (k - j - 1) for j in range(k)) for k in (2, 3)]
+        words += [w[:-1] + "0" for w in words[-2:]]
+    for word in words:
+        for i in range(len(word) + 3):
+            want = reference_critical_contract(decider, word, i)
+            try:
+                got = critical_contract(decider, word, i)
+            except BudgetError as error:
+                got = str(error)
+            assert got == want, (word, i)
 
 
 def test_critical_contract_budget_error_on_fast_decisions():
